@@ -3,9 +3,8 @@
  * Fleet-scale shard-scaling bench.
  *
  * Replays an attacked-bank-skewed synthetic fleet (every 8th pair of
- * banks hammers 10x harder than the rest - the skew the work-stealing
- * pool exists for) through ShardedSim at 1, 2, 4 and 8 shards and
- * reports the scaling curve:
+ * banks hammers 10x harder than the rest) through ShardedSim at 1, 2,
+ * 4 and 8 shards and reports the scaling curve:
  *
  *   acts_per_sec_core      single-shard throughput (the per-core rate
  *                          check_perf.py guards across PRs)
@@ -115,7 +114,7 @@ main()
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const int tier = workerTier(hw);
     std::printf("host: %u hardware thread(s), worker tier %d, "
-                "pool jobs %zu\n\n",
+                "jobs %zu\n\n",
                 hw, tier, jobs);
 
     // Co-scale the refresh threshold with the activation volume, same
@@ -183,16 +182,14 @@ main()
         static_cast<double>(oracle.stats.activations);
     const double rate1 = acts / std::max(points[0].seconds, 1e-9);
 
-    std::printf("%-8s %-8s %12s %14s %9s %8s\n", "shards", "steals",
-                "seconds", "acts/sec", "speedup", "eff");
+    std::printf("%-8s %12s %14s %9s %8s\n", "shards", "seconds",
+                "acts/sec", "speedup", "eff");
     for (const ScalePoint &pt : points) {
         const double rate = acts / std::max(pt.seconds, 1e-9);
         const double speedup = rate / rate1;
         const auto cores =
             static_cast<double>(std::min<unsigned>(pt.shards, hw));
-        std::printf("%-8u %-8llu %12.4f %14.0f %8.2fx %8.2f\n",
-                    pt.shards,
-                    static_cast<unsigned long long>(pt.fleet.steals),
+        std::printf("%-8u %12.4f %14.0f %8.2fx %8.2f\n", pt.shards,
                     pt.seconds, rate, speedup, speedup / cores);
     }
     std::printf("\n");

@@ -5,7 +5,7 @@
  * cache, CAT tree traversal/growth, and the PRNG/Zipf substrates.
  * These support the paper's latency claims (Section VII-A: PRCAT
  * lookup is far cheaper than a DRAM row activation).  Also covers the
- * sweep engine: thread-pool dispatch overhead and a small end-to-end
+ * sweep engine: parallelFor dispatch overhead and a small end-to-end
  * SweepRunner grid.
  */
 
@@ -391,26 +391,10 @@ BM_ZipfSample(benchmark::State &state)
 BENCHMARK(BM_ZipfSample);
 
 void
-BM_ThreadPoolSubmitWait(benchmark::State &state)
-{
-    // Per-job dispatch cost of the sweep engine's queue: submit a
-    // batch of trivial jobs and drain it.
-    const std::size_t jobs = static_cast<std::size_t>(state.range(0));
-    ThreadPool pool(jobs);
-    std::atomic<std::uint64_t> sink{0};
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&sink] { sink.fetch_add(1); });
-        pool.wait();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_ThreadPoolSubmitWait)->Arg(1)->Arg(4);
-
-void
 BM_ParallelForOverhead(benchmark::State &state)
 {
+    // Dispatch cost of the one parallel primitive: start the workers,
+    // drain 256 trivial cells, join.
     const std::size_t jobs = static_cast<std::size_t>(state.range(0));
     std::atomic<std::uint64_t> sink{0};
     for (auto _ : state) {

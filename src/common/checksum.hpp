@@ -8,6 +8,10 @@
  * feeding corrupt state into a figure.  The streaming Crc32 class
  * lets writers fold in data as they serialize; crc32() is the oneshot
  * convenience for buffers already in memory.
+ *
+ * fnv1a() is the name hash: baseline cache files and journal files
+ * are named by the FNV-1a hash of their key, so its output is part of
+ * the on-disk layout and must never change.
  */
 
 #ifndef CATSIM_COMMON_CHECKSUM_HPP
@@ -15,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace catsim
 {
@@ -38,6 +43,14 @@ class Crc32
 
 /** CRC32 of one contiguous buffer. */
 std::uint32_t crc32(const void *data, std::size_t len);
+
+/**
+ * 64-bit FNV-1a of @p s (file-name hashing, not integrity).  The
+ * offset basis is the project's historical 1469598103934665603, one
+ * digit short of the published basis; existing file names depend on
+ * it, so it stays.
+ */
+std::uint64_t fnv1a(const std::string &s);
 
 } // namespace catsim
 

@@ -1,8 +1,13 @@
 #include "parallel.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/fault_injection.hpp"
 
@@ -123,151 +128,16 @@ pinWorkerRoundRobin(std::size_t)
 
 } // namespace
 
-ThreadPool::ThreadPool(std::size_t jobs) : jobs_(jobs ? jobs : 1)
-{
-    if (jobs_ == 1)
-        return;
-    queues_.resize(jobs_);
-    workers_.reserve(jobs_);
-    for (std::size_t i = 0; i < jobs_; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
 void
-ThreadPool::recordException(std::size_t seq)
+rethrowIndexed(std::exception_ptr err, const char *unit, std::size_t index)
 {
-    // Caller holds mutex_.  Lowest submission sequence wins so the
-    // reported error does not depend on thread completion order.
-    if (!firstError_ || seq < firstErrorSeq_) {
-        firstError_ = std::current_exception();
-        firstErrorSeq_ = seq;
+    try {
+        std::rethrow_exception(err);
+    } catch (const std::exception &e) {
+        throw std::runtime_error(std::string(unit) + " "
+                                 + std::to_string(index) + ": " + e.what());
     }
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    if (jobs_ == 1) {
-        const std::size_t seq = submitSeq_++;
-        try {
-            fault::maybeThrow("pool_task");
-            job();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            recordException(seq);
-        }
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::size_t seq = submitSeq_++;
-        // Round-robin placement by submission index: deterministic
-        // home deques, even initial spread, and tasks stay LIFO-warm
-        // on their home worker until someone runs dry and steals.
-        queues_[seq % jobs_].emplace_back(seq, std::move(job));
-        ++inFlight_;
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        const std::size_t seq = firstErrorSeq_;
-        firstError_ = nullptr;
-        lock.unlock();
-        try {
-            std::rethrow_exception(err);
-        } catch (const std::exception &e) {
-            throw std::runtime_error("task " + std::to_string(seq) + ": "
-                                     + e.what());
-        }
-        // Non-std exceptions carry no message to wrap; let them
-        // propagate as-is.
-    }
-}
-
-bool
-ThreadPool::takeJob(std::size_t self,
-                    std::pair<std::size_t, std::function<void()>> *out,
-                    bool *stolen)
-{
-    // Caller holds mutex_.  Own deque first, newest job first (LIFO:
-    // the data it touches is still warm); then scan the other workers
-    // round-robin from our own index and steal their OLDEST job (FIFO:
-    // the one its owner would reach last, minimizing contention on
-    // what the owner is about to pop).
-    auto &own = queues_[self];
-    if (!own.empty()) {
-        *out = std::move(own.back());
-        own.pop_back();
-        *stolen = false;
-        return true;
-    }
-    for (std::size_t i = 1; i < jobs_; ++i) {
-        auto &victim = queues_[(self + i) % jobs_];
-        if (victim.empty())
-            continue;
-        *out = std::move(victim.front());
-        victim.pop_front();
-        *stolen = true;
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    if (numaPinEnabled())
-        pinWorkerRoundRobin(self);
-    for (;;) {
-        std::pair<std::size_t, std::function<void()>> item;
-        bool stolen = false;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                if (stopping_)
-                    return true;
-                for (const auto &q : queues_)
-                    if (!q.empty())
-                        return true;
-                return false;
-            });
-            if (!takeJob(self, &item, &stolen))
-                return; // stopping_ and every deque drained
-        }
-        try {
-            if (stolen)
-                fault::maybeThrow("pool_steal");
-            fault::maybeThrow("pool_task");
-            item.second();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            recordException(item.first);
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
+    // Non-std exceptions carry no message to wrap; they propagate as-is.
 }
 
 void
@@ -276,25 +146,10 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
 {
     if (n == 0)
         return;
-    const std::size_t workers = std::min(jobs ? jobs : 1, n);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fault::maybeThrow("parallel_cell");
-                fn(i);
-            } catch (const std::exception &e) {
-                throw std::runtime_error(
-                    "cell " + std::to_string(i) + ": " + e.what());
-            }
-        }
-        return;
-    }
     // Dynamic index handout: cheap and balances uneven cells.  A
-    // failed call poisons the grid so other workers stop picking up
-    // new indices (matching the serial path's stop-at-first-throw)
-    // instead of burning through the remaining cells.  Errors are
-    // recorded here, not via the pool, so the lowest failing *cell*
-    // index wins regardless of which worker hit it - the rethrown
+    // failed call poisons the grid so no worker picks up a new index
+    // (the serial path's stop-at-first-throw).  The lowest failing
+    // index wins regardless of which worker hit it, so the rethrown
     // message is stable across job counts whenever the set of failing
     // cells is.
     std::atomic<std::size_t> next{0};
@@ -302,37 +157,53 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
     std::mutex errMutex;
     std::size_t errIndex = n;
     std::exception_ptr errPtr;
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.submit([&] {
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1)) {
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                try {
-                    fault::maybeThrow("parallel_cell");
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(errMutex);
-                    if (!errPtr || i < errIndex) {
-                        errPtr = std::current_exception();
-                        errIndex = i;
-                    }
-                    failed.store(true, std::memory_order_relaxed);
+    const auto drain = [&] {
+        for (std::size_t i = next.fetch_add(1); i < n;
+             i = next.fetch_add(1)) {
+            if (failed.load(std::memory_order_relaxed))
+                return;
+            try {
+                fault::maybeThrow("parallel_cell");
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errMutex);
+                if (!errPtr || i < errIndex) {
+                    errPtr = std::current_exception();
+                    errIndex = i;
                 }
+                failed.store(true, std::memory_order_relaxed);
             }
-        });
-    }
-    pool.wait();
-    if (errPtr) {
-        try {
-            std::rethrow_exception(errPtr);
-        } catch (const std::exception &e) {
-            throw std::runtime_error(
-                "cell " + std::to_string(errIndex) + ": " + e.what());
         }
-        // Non-std exceptions propagate unwrapped.
+    };
+
+    const std::size_t workers = std::min(jobs ? jobs : 1, n);
+    if (workers == 1) {
+        drain(); // inline, in index order, on the calling thread
+    } else {
+        const bool pin = numaPinEnabled();
+        std::vector<std::thread> threads;
+        threads.reserve(workers);
+        try {
+            for (std::size_t w = 0; w < workers; ++w) {
+                threads.emplace_back([&drain, pin, w] {
+                    if (pin)
+                        pinWorkerRoundRobin(w);
+                    drain();
+                });
+            }
+        } catch (...) {
+            // Thread creation failed: stop the workers already started
+            // and join them before their captures go out of scope.
+            failed.store(true, std::memory_order_relaxed);
+            for (auto &t : threads)
+                t.join();
+            throw;
+        }
+        for (auto &t : threads)
+            t.join();
     }
+    if (errPtr)
+        rethrowIndexed(errPtr, "cell", errIndex);
 }
 
 } // namespace catsim

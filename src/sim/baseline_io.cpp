@@ -49,18 +49,6 @@ getDouble(std::istream &is, double *v)
     return static_cast<bool>(is);
 }
 
-/** FNV-1a, for collision-proofing the sanitized file name. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 std::string

@@ -1,16 +1,20 @@
 #include "checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/durable_io.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 
 namespace catsim
 {
@@ -77,17 +81,6 @@ struct Cursor
     }
 };
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /** Serialized header for @p runKey (magic..runKey plus CRC). */
 std::string
 makeHeader(const std::string &runKey)
@@ -114,6 +107,19 @@ makeRecord(const std::string &key, const std::string &blob)
     return r;
 }
 
+/** what() of the in-flight exception (for CellError records). */
+std::string
+currentExceptionMessage()
+{
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown error";
+    }
+}
+
 } // namespace
 
 std::string
@@ -130,6 +136,13 @@ checkpointFileName(const std::string &runKey)
     std::snprintf(name, sizeof name, "run-%016llx.catj",
                   static_cast<unsigned long long>(fnv1a(runKey)));
     return name;
+}
+
+bool
+keepGoingFromEnv()
+{
+    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
+    return env && std::string(env) == "1";
 }
 
 CheckpointJournal::CheckpointJournal(const std::string &dir,
@@ -297,6 +310,115 @@ BlobReader::getDouble(double *v)
         return false;
     std::memcpy(v, &bits, sizeof *v);
     return true;
+}
+
+GridOutcome
+runJournaledGrid(
+    const GridRun &grid,
+    const std::function<bool(std::size_t, const std::string &)> &restore,
+    const std::function<std::string(std::size_t)> &eval)
+{
+    const std::size_t n = grid.keys.size();
+    GridOutcome outcome;
+
+    // Replay: journaled cells (validated by key + CRC at open) are
+    // restored in place and never re-run.
+    std::unique_ptr<CheckpointJournal> journal;
+    std::vector<std::size_t> pending;
+    pending.reserve(n);
+    if (!grid.checkpointDir.empty())
+        journal = std::make_unique<CheckpointJournal>(grid.checkpointDir,
+                                                      grid.runKey);
+    std::string blob;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (journal && journal->lookup(grid.keys[i], &blob)
+            && restore(i, blob))
+            ++outcome.resumed;
+        else
+            pending.push_back(i);
+    }
+    if (outcome.resumed > 0)
+        CATSIM_INFORM("checkpoint: resumed ", outcome.resumed, "/", n, " ",
+                      grid.name, " ", grid.unit, "s from ",
+                      journal->path());
+
+    std::mutex mutex;
+    std::size_t failedAt = n;
+    std::exception_ptr failure;
+    const auto runCell = [&](std::size_t i) {
+        std::string record;
+        for (int attempts = 1;; ++attempts) {
+            try {
+                fault::maybeThrow(grid.failPoint);
+                record = eval(i);
+                break;
+            } catch (...) {
+                if (!grid.keepGoing)
+                    throw;
+                if (attempts < 2)
+                    continue; // transient? one retry
+                CellError err{i, grid.labels[i], currentExceptionMessage(),
+                              attempts};
+                std::lock_guard<std::mutex> lock(mutex);
+                outcome.errors.push_back(std::move(err));
+                return; // failed cells are never journaled
+            }
+        }
+        if (!journal)
+            return;
+        try {
+            journal->append(grid.keys[i], record);
+        } catch (const std::exception &e) {
+            // The result itself is valid; losing its record only costs
+            // a re-run on resume.  Keep going quietly in keep-going
+            // mode, die loudly in fail-fast (a broken journal would
+            // make every later resume silently partial).
+            if (!grid.keepGoing)
+                throw;
+            CATSIM_WARN("checkpoint append failed for ", grid.unit, " ", i,
+                        " (", grid.labels[i], "): ", e.what());
+        }
+    };
+
+    try {
+        parallelFor(
+            pending.size(),
+            [&](std::size_t p) {
+                const std::size_t i = pending[p];
+                try {
+                    runCell(i);
+                } catch (...) {
+                    // Fail-fast: keep the lowest failing GRID index
+                    // (parallelFor only knows positions in pending),
+                    // then let parallelFor stop handing out cells.
+                    std::lock_guard<std::mutex> lock(mutex);
+                    if (i < failedAt) {
+                        failedAt = i;
+                        failure = std::current_exception();
+                    }
+                    throw;
+                }
+            },
+            grid.jobs);
+    } catch (...) {
+        if (!failure)
+            throw; // raised by parallelFor itself, not by a cell
+        rethrowIndexed(failure, grid.unit, failedAt);
+    }
+
+    std::sort(outcome.errors.begin(), outcome.errors.end(),
+              [](const CellError &a, const CellError &b) {
+                  return a.index < b.index;
+              });
+    if (!outcome.errors.empty()) {
+        CATSIM_WARN("keep-going: ", outcome.errors.size(), "/", n, " ",
+                    grid.name, " ", grid.unit,
+                    "s failed permanently and were not checkpointed");
+        for (const auto &e : outcome.errors)
+            CATSIM_WARN("  ", grid.unit, " ", e.index, " (", e.label, "), ",
+                        e.attempts, " attempts: ", e.message);
+    }
+    return outcome;
 }
 
 } // namespace catsim

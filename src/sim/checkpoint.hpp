@@ -1,8 +1,9 @@
 /**
  * @file
- * Crash-safe run journal for sweeps and Monte-Carlo campaigns.
+ * Crash-safe run journal, and the journaled grid runner that sweeps
+ * and fleets share.
  *
- * Every SweepRunner cell and Monte-Carlo trial batch is a pure
+ * Every sweep cell, fleet shard and Monte-Carlo trial batch is a pure
  * deterministic function of its spec, so a long run can be made
  * crash-safe by journaling each completed unit of work: one record
  * per cell, appended (and fsync'd) the moment the cell finishes.  On
@@ -27,15 +28,26 @@
  * file back to the last valid record (the torn tail a SIGKILL mid
  * append leaves behind), and appends from there.  A corrupt or torn
  * record is therefore never served - it is re-run instead.
+ *
+ * runJournaledGrid() is the one resume/evaluate/journal loop: sweeps
+ * (SweepRunner) and fleets (ShardedSim::run) describe their grid as a
+ * run key plus per-cell record keys and hand it the two per-cell
+ * operations (restore a journaled result, evaluate a fresh one).
+ * With CATSIM_SWEEP_KEEP_GOING=1 a failing cell is retried once and
+ * then recorded as a CellError while the rest of the grid completes;
+ * the default is fail-fast.
  */
 
 #ifndef CATSIM_SIM_CHECKPOINT_HPP
 #define CATSIM_SIM_CHECKPOINT_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace catsim
 {
@@ -45,6 +57,9 @@ std::string checkpointDirFromEnv();
 
 /** Journal file name (not path) for a run key: hash-suffixed. */
 std::string checkpointFileName(const std::string &runKey);
+
+/** True when CATSIM_SWEEP_KEEP_GOING=1 requests keep-going grids. */
+bool keepGoingFromEnv();
 
 /**
  * One append-only journal of completed work records.
@@ -119,6 +134,60 @@ class BlobReader
     const std::string &buf_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * One cell that failed permanently under keep-going mode: which cell,
+ * what it was, and what its final attempt threw.  A failed cell is NOT
+ * journaled, so a checkpointed resume re-runs exactly the failed
+ * cells.
+ */
+struct CellError
+{
+    std::size_t index = 0; //!< grid index (sweep cell, fleet shard)
+    std::string label;     //!< cell label for the error report
+    std::string message;   //!< what() of the last attempt
+    int attempts = 0;      //!< evaluation attempts made (max 2)
+};
+
+/** A grid of independent cells for runJournaledGrid(). */
+struct GridRun
+{
+    std::string name;                     //!< run flavor for log lines
+    const char *unit = "cell";            //!< cell noun ("cell", "shard")
+    const char *failPoint = "sweep_cell"; //!< armed once per attempt
+    std::vector<std::string> keys;        //!< journal record key per cell
+    std::vector<std::string> labels;      //!< report label per cell
+    std::string checkpointDir;            //!< journal directory; "" = none
+    std::string runKey;                   //!< journal identity of the grid
+    std::size_t jobs = 1;                 //!< parallelFor workers
+    bool keepGoing = false;               //!< retry once, then record
+};
+
+/** What runJournaledGrid() did beyond filling the result slots. */
+struct GridOutcome
+{
+    std::vector<CellError> errors; //!< keep-going failures, by index
+    std::size_t resumed = 0;       //!< cells restored from the journal
+};
+
+/**
+ * Evaluate every cell of @p grid that its journal does not already
+ * hold.  @p restore(i, blob) decodes cell i's journaled record into
+ * its result slot and returns false when the blob does not parse (the
+ * cell then re-runs); @p eval(i) computes cell i's result slot and
+ * returns the blob to journal.  Pending cells run through parallelFor
+ * on grid.jobs workers and each is journaled the moment it finishes.
+ *
+ * Fail-fast (the default) rethrows the lowest failing cell's error
+ * prefixed with "<unit> <grid index>: "; cells finished before it stay
+ * journaled.  Keep-going retries a failing cell once, then records it
+ * in the outcome and leaves its slot to the caller.  Result slots are
+ * distinct per cell, so @p eval needs no locking of its own.
+ */
+GridOutcome runJournaledGrid(
+    const GridRun &grid,
+    const std::function<bool(std::size_t, const std::string &)> &restore,
+    const std::function<std::string(std::size_t)> &eval);
 
 } // namespace catsim
 

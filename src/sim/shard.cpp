@@ -7,7 +7,6 @@
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace catsim
 {
@@ -26,13 +25,6 @@ defaultShards()
 
 namespace
 {
-
-bool
-keepGoingFromEnv()
-{
-    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
-    return env && std::string(env) == "1";
-}
 
 /** Journal blob codec for one shard's ReplayResult (all integers). */
 std::string
@@ -70,18 +62,6 @@ decodeReplay(const std::string &blob, ReplayResult *r)
            && rd.getU64(&r->stats.counterDramWrites)
            && rd.getU64(&r->banks) && rd.getU64(&r->epochs)
            && rd.atEnd();
-}
-
-std::string
-currentExceptionMessage()
-{
-    try {
-        throw;
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown error";
-    }
 }
 
 /**
@@ -154,38 +134,45 @@ ShardedSim::ShardedSim(SchemeConfig scheme, RowAddr rows_per_bank,
 {
 }
 
-std::vector<std::string>
-ShardedSim::shardKeys(const char *kind) const
+GridRun
+ShardedSim::shardGrid(const char *kind, const std::string &tag,
+                      const std::string &run_tag)
 {
-    std::vector<std::string> keys;
-    keys.reserve(plan_.numShards());
+    GridRun grid;
+    grid.name = std::string("fleet ") + kind;
+    grid.unit = "shard";
+    grid.failPoint = "shard_task";
+    grid.checkpointDir = checkpointDir_;
+    grid.jobs = jobs_;
+    grid.keepGoing = keepGoing_;
     for (std::size_t i = 0; i < plan_.numShards(); ++i) {
         const ShardRange &r = plan_.shards()[i];
-        keys.push_back(std::string(kind) + "-shard#" + std::to_string(i)
-                       + "|first=" + std::to_string(r.firstBank)
-                       + "|n=" + std::to_string(r.numBanks));
+        grid.keys.push_back(std::string(kind) + "-shard#" + std::to_string(i)
+                            + "|first=" + std::to_string(r.firstBank)
+                            + "|n=" + std::to_string(r.numBanks));
+        grid.labels.push_back("banks " + std::to_string(r.firstBank) + "-"
+                              + std::to_string(r.firstBank + r.numBanks
+                                               - 1));
     }
-    return keys;
-}
-
-std::string
-ShardedSim::runKey(const char *kind, const std::string &tag,
-                   std::uint64_t seq,
-                   const std::vector<std::string> &keys) const
-{
-    std::ostringstream os;
-    os << "fleet-" << kind << "|tag=" << tag << "|seq=" << seq << '|'
-       << scheme_.format() << "|rows=" << rowsPerBank_ << '|'
-       << plan_.spec();
-    for (const auto &k : keys)
-        os << '|' << k;
-    return os.str();
+    const std::uint64_t seq = callSeq_[std::string(kind) + '|' + tag]++;
+    if (!checkpointDir_.empty()) {
+        std::ostringstream os;
+        os << "fleet-" << kind << "|tag=" << run_tag << "|seq=" << seq
+           << '|' << scheme_.format() << "|rows=" << rowsPerBank_ << '|'
+           << plan_.spec();
+        for (const auto &k : grid.keys)
+            os << '|' << k;
+        grid.runKey = os.str();
+    }
+    return grid;
 }
 
 void
-ShardedSim::finishTotals(FleetResult *fleet,
-                         const std::vector<char> &live) const
+ShardedSim::finishTotals(FleetResult *fleet)
 {
+    std::vector<char> live(fleet->perShard.size(), 1);
+    for (const CellError &e : fleet->errors)
+        live[e.index] = 0;
     fleet->total = ReplayResult{};
     for (std::size_t i = 0; i < fleet->perShard.size(); ++i) {
         if (!live[i])
@@ -200,129 +187,33 @@ ShardedSim::finishTotals(FleetResult *fleet,
 }
 
 FleetResult
-ShardedSim::runShards(
-    const char *kind, const std::string &tag,
-    const std::function<ReplayResult(const ShardRange &, std::size_t)>
-        &eval_shard)
-{
-    const std::size_t n = plan_.numShards();
-    FleetResult fleet;
-    fleet.perShard.resize(n);
-    std::vector<char> done(n, 0);
-    std::vector<char> live(n, 1);
-    const std::uint64_t seq = callSeq_[std::string(kind) + '|' + tag]++;
-
-    std::unique_ptr<CheckpointJournal> journal;
-    const std::vector<std::string> keys = shardKeys(kind);
-    if (!checkpointDir_.empty()) {
-        journal = std::make_unique<CheckpointJournal>(
-            checkpointDir_, runKey(kind, tag, seq, keys));
-        std::string blob;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (journal->lookup(keys[i], &blob)
-                && decodeReplay(blob, &fleet.perShard[i])) {
-                done[i] = 1;
-                ++fleet.resumedShards;
-            }
-        }
-        if (fleet.resumedShards > 0)
-            CATSIM_INFORM("checkpoint: resumed ", fleet.resumedShards,
-                          "/", n, " fleet ", kind, " shards from ",
-                          journal->path());
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!done[i])
-            pending.push_back(i);
-
-    std::mutex errMutex;
-    ThreadPool pool(std::min(jobs_, std::max<std::size_t>(
-                                        pending.size(), 1)));
-    for (const std::size_t i : pending) {
-        pool.submit([this, i, &fleet, &live, &keys, &eval_shard,
-                     &journal, &errMutex] {
-            const ShardRange &range = plan_.shards()[i];
-            if (!keepGoing_) {
-                try {
-                    fault::maybeThrow("shard_task");
-                    fleet.perShard[i] = eval_shard(range, i);
-                } catch (const std::exception &e) {
-                    throw std::runtime_error(
-                        "shard " + std::to_string(i) + ": " + e.what());
-                }
-            } else {
-                int attempts = 0;
-                for (;;) {
-                    ++attempts;
-                    try {
-                        fault::maybeThrow("shard_task");
-                        fleet.perShard[i] = eval_shard(range, i);
-                        break;
-                    } catch (...) {
-                        if (attempts < 2)
-                            continue; // transient? one retry
-                        ShardError err;
-                        err.shard = i;
-                        err.message = currentExceptionMessage();
-                        err.attempts = attempts;
-                        {
-                            std::lock_guard<std::mutex> lock(errMutex);
-                            fleet.errors.push_back(std::move(err));
-                        }
-                        live[i] = 0;
-                        return; // failed shards are never journaled
-                    }
-                }
-            }
-            if (journal) {
-                try {
-                    journal->append(keys[i],
-                                    encodeReplay(fleet.perShard[i]));
-                } catch (const std::exception &e) {
-                    if (!keepGoing_)
-                        throw;
-                    CATSIM_WARN("checkpoint append failed for shard ",
-                                i, ": ", e.what());
-                }
-            }
-        });
-    }
-    pool.wait();
-    fleet.steals = pool.steals();
-
-    std::sort(fleet.errors.begin(), fleet.errors.end(),
-              [](const ShardError &a, const ShardError &b) {
-                  return a.shard < b.shard;
-              });
-    if (!fleet.errors.empty()) {
-        CATSIM_WARN("fleet keep-going: ", fleet.errors.size(), "/", n,
-                    " shards failed permanently; they are excluded "
-                    "from the merged totals and were not checkpointed");
-        for (const auto &e : fleet.errors)
-            CATSIM_WARN("  shard ", e.shard, ", ", e.attempts,
-                        " attempts: ", e.message);
-    }
-    finishTotals(&fleet, live);
-    return fleet;
-}
-
-FleetResult
 ShardedSim::run(const SourceFactory &make_source, const std::string &tag)
 {
     if (scheme_.kind == SchemeKind::None)
         CATSIM_FATAL("fleet replay needs a real scheme, not None");
-    return runShards(
-        "run", tag,
-        [this, &make_source](const ShardRange &range, std::size_t) {
+    FleetResult fleet;
+    fleet.perShard.resize(plan_.numShards());
+    GridOutcome outcome = runJournaledGrid(
+        shardGrid("run", tag, tag),
+        [&fleet](std::size_t i, const std::string &blob) {
+            return decodeReplay(blob, &fleet.perShard[i]);
+        },
+        [this, &fleet, &make_source](std::size_t i) {
+            // Sources and schemes are built here, on the worker thread,
+            // so first-touch keeps the shard's arenas node-local.
+            const ShardRange &range = plan_.shards()[i];
             std::vector<std::unique_ptr<ActivationSource>> sources;
             sources.reserve(range.numBanks);
             for (std::uint32_t b = 0; b < range.numBanks; ++b)
                 sources.push_back(make_source(range.firstBank + b));
-            return replaySources(sources, scheme_, rowsPerBank_,
-                                 range.firstBank);
+            fleet.perShard[i] = replaySources(sources, scheme_, rowsPerBank_,
+                                              range.firstBank);
+            return encodeReplay(fleet.perShard[i]);
         });
+    fleet.errors = std::move(outcome.errors);
+    fleet.resumedShards = outcome.resumed;
+    finishTotals(&fleet);
+    return fleet;
 }
 
 FleetResult
@@ -350,33 +241,29 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
     const std::size_t n = plan_.numShards();
     FleetResult fleet;
     fleet.perShard.resize(n);
-    std::vector<char> live(n, 1);
-    const std::uint64_t seq = callSeq_[std::string("trace|") + tag]++;
+    // epoch_every changes the results (window size does not), so it is
+    // part of the run identity.
+    const GridRun grid = shardGrid(
+        "trace", tag, tag + "|epoch=" + std::to_string(epoch_every));
 
     // All-or-nothing resume: per-shard results only exist once the
     // whole trace has streamed, so a journal either replays the full
     // fleet (without touching the trace) or the run starts over.
     std::unique_ptr<CheckpointJournal> journal;
-    const std::vector<std::string> keys = shardKeys("trace");
-    if (!checkpointDir_.empty()) {
-        // epoch_every changes the results (window size does not), so
-        // it is part of the run identity.
-        journal = std::make_unique<CheckpointJournal>(
-            checkpointDir_,
-            runKey("trace",
-                   tag + "|epoch=" + std::to_string(epoch_every), seq,
-                   keys));
+    if (!grid.checkpointDir.empty()) {
+        journal = std::make_unique<CheckpointJournal>(grid.checkpointDir,
+                                                      grid.runKey);
         std::string blob;
         std::size_t found = 0;
         for (std::size_t i = 0; i < n; ++i)
-            if (journal->lookup(keys[i], &blob)
+            if (journal->lookup(grid.keys[i], &blob)
                 && decodeReplay(blob, &fleet.perShard[i]))
                 ++found;
         if (found == n) {
             CATSIM_INFORM("checkpoint: resumed full fleet trace replay "
                           "(", n, " shards) from ", journal->path());
             fleet.resumedShards = n;
-            finishTotals(&fleet, live);
+            finishTotals(&fleet);
             return fleet;
         }
         for (auto &r : fleet.perShard)
@@ -396,14 +283,14 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
     TraceWindower windower(stream, mapper, geometry, epoch_every,
                            window_records);
     std::vector<std::vector<RowAddr>> window;
+    std::vector<char> live(n, 1);
     std::mutex errMutex;
-    ThreadPool pool(std::min(jobs_, n));
     while (windower.next(&window)) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!live[i])
-                continue; // dead shards skip the rest of the stream
-            pool.submit([this, i, &schemes, &epochs, &window, &live,
-                         &fleet, &errMutex] {
+        parallelFor(
+            n,
+            [&](std::size_t i) {
+                if (!live[i])
+                    return; // dead shards skip the rest of the stream
                 const ShardRange &range = plan_.shards()[i];
                 try {
                     fault::maybeThrow("shard_task");
@@ -416,35 +303,26 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
                         if (range.firstBank + b == 0)
                             epochs[i] += e;
                     }
-                } catch (...) {
-                    if (!keepGoing_) {
-                        try {
-                            throw;
-                        } catch (const std::exception &e) {
-                            throw std::runtime_error(
-                                "shard " + std::to_string(i) + ": "
-                                + e.what());
-                        }
-                    }
-                    // No retry here: the shard's scheme state may
-                    // already hold part of this window, so a re-feed
-                    // would double-count.  Record and drop the shard;
-                    // the rest of the fleet keeps streaming.
-                    ShardError err;
-                    err.shard = i;
-                    err.message = currentExceptionMessage();
-                    err.attempts = 1;
-                    {
-                        std::lock_guard<std::mutex> lock(errMutex);
-                        fleet.errors.push_back(std::move(err));
-                    }
+                } catch (const std::exception &e) {
+                    // No retry: the shard's scheme state may already
+                    // hold part of this window, so a re-feed would
+                    // double-count.  Record and drop the shard; the
+                    // rest of the fleet keeps streaming.
+                    std::lock_guard<std::mutex> lock(errMutex);
+                    fleet.errors.push_back({i, grid.labels[i], e.what(), 1});
                     live[i] = 0;
                 }
-            });
-        }
-        pool.wait();
+            },
+            jobs_);
+        std::sort(fleet.errors.begin(), fleet.errors.end(),
+                  [](const CellError &a, const CellError &b) {
+                      return a.index < b.index;
+                  });
+        if (!keepGoing_ && !fleet.errors.empty())
+            throw std::runtime_error(
+                "shard " + std::to_string(fleet.errors[0].index) + ": "
+                + fleet.errors[0].message);
     }
-    fleet.steals = pool.steals();
 
     for (std::size_t i = 0; i < n; ++i) {
         if (!live[i])
@@ -457,7 +335,7 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
                 r.stats.add(s->stats());
         if (journal) {
             try {
-                journal->append(keys[i], encodeReplay(r));
+                journal->append(grid.keys[i], encodeReplay(r));
             } catch (const std::exception &e) {
                 if (!keepGoing_)
                     throw;
@@ -467,18 +345,15 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
         }
     }
 
-    std::sort(fleet.errors.begin(), fleet.errors.end(),
-              [](const ShardError &a, const ShardError &b) {
-                  return a.shard < b.shard;
-              });
     if (!fleet.errors.empty()) {
-        CATSIM_WARN("fleet keep-going: ", fleet.errors.size(), "/", n,
-                    " trace shards failed; they are excluded from the "
-                    "merged totals and were not checkpointed");
+        CATSIM_WARN("keep-going: ", fleet.errors.size(), "/", n,
+                    " fleet trace shards failed; they are excluded from "
+                    "the merged totals and were not checkpointed");
         for (const auto &e : fleet.errors)
-            CATSIM_WARN("  shard ", e.shard, ": ", e.message);
+            CATSIM_WARN("  shard ", e.index, " (", e.label, "): ",
+                        e.message);
     }
-    finishTotals(&fleet, live);
+    finishTotals(&fleet);
     return fleet;
 }
 

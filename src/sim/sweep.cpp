@@ -1,28 +1,14 @@
 #include "sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <sstream>
-
-#include "common/fault_injection.hpp"
-#include "common/logging.hpp"
+#include <utility>
 
 namespace catsim
 {
 
 namespace
 {
-
-bool
-keepGoingFromEnv()
-{
-    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
-    return env && std::string(env) == "1";
-}
 
 /** Canonical spec string: the whole cell, so a changed grid misses. */
 std::string
@@ -150,19 +136,6 @@ markFailed(EvalResult *e)
     e->cmrpo = std::numeric_limits<double>::quiet_NaN();
 }
 
-/** what() of the in-flight exception (for CellError records). */
-std::string
-currentExceptionMessage()
-{
-    try {
-        throw;
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown error";
-    }
-}
-
 } // namespace
 
 SweepRunner::SweepRunner(double scale, std::size_t jobs)
@@ -176,118 +149,47 @@ template <typename Result>
 std::vector<Result>
 SweepRunner::runJournaled(const char *kind,
                           const std::vector<std::string> &specs,
-                          const std::vector<std::string> &labels,
+                          std::vector<std::string> labels,
                           const std::function<Result(std::size_t)> &eval)
 {
     const std::size_t n = specs.size();
-    std::vector<Result> results(n);
-    std::vector<char> done(n, 0);
     errors_.clear();
     resumedCells_ = 0;
     const std::uint64_t seq = callSeq_[kind]++;
 
-    // Replay: journaled cells (validated by key + CRC at open) are
-    // decoded in place and never re-run.
-    std::unique_ptr<CheckpointJournal> journal;
-    std::vector<std::string> keys(n);
+    GridRun grid;
+    grid.name = kind;
+    grid.labels = std::move(labels);
+    grid.checkpointDir = checkpointDir_;
+    grid.jobs = jobs_;
+    grid.keepGoing = keepGoing_;
+    grid.keys.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        keys[i] = std::string(kind) + '#' + std::to_string(i) + '|'
-                  + specs[i];
+        grid.keys.push_back(std::string(kind) + '#' + std::to_string(i)
+                            + '|' + specs[i]);
     if (!checkpointDir_.empty()) {
         std::ostringstream runKey;
         runKey << kind << "|seq=" << seq << "|scale=" << std::hexfloat
                << scale() << "|cells=" << n;
-        for (const auto &k : keys)
+        for (const auto &k : grid.keys)
             runKey << '|' << k;
-        journal = std::make_unique<CheckpointJournal>(checkpointDir_,
-                                                      runKey.str());
-        std::string blob;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (journal->lookup(keys[i], &blob)
-                && decodeResult(blob, &results[i])) {
-                done[i] = 1;
-                ++resumedCells_;
-            }
-        }
-        if (resumedCells_ > 0)
-            CATSIM_INFORM("checkpoint: resumed ", resumedCells_, "/", n,
-                          " ", kind, " cells from ", journal->path());
+        grid.runKey = runKey.str();
     }
 
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!done[i])
-            pending.push_back(i);
-
-    std::mutex errMutex;
-    parallelFor(
-        pending.size(),
-        [this, &pending, &results, &keys, &labels, &eval, &journal,
-         &errMutex](std::size_t pi) {
-            const std::size_t i = pending[pi];
-            if (!keepGoing_) {
-                // Fail-fast: the first cell failure aborts the grid
-                // (parallelFor attaches the failing index), but cells
-                // that finished before it are journaled below, so a
-                // checkpointed re-run picks up from them.
-                fault::maybeThrow("sweep_cell");
-                results[i] = eval(i);
-            } else {
-                int attempts = 0;
-                for (;;) {
-                    ++attempts;
-                    try {
-                        fault::maybeThrow("sweep_cell");
-                        results[i] = eval(i);
-                        break;
-                    } catch (...) {
-                        if (attempts < 2)
-                            continue; // transient? one retry
-                        CellError err;
-                        err.index = i;
-                        err.label = labels[i];
-                        err.message = currentExceptionMessage();
-                        err.attempts = attempts;
-                        {
-                            std::lock_guard<std::mutex> lock(errMutex);
-                            errors_.push_back(std::move(err));
-                        }
-                        markFailed(&results[i]);
-                        return; // failed cells are never journaled
-                    }
-                }
-            }
-            if (journal) {
-                try {
-                    journal->append(keys[i], encodeResult(results[i]));
-                } catch (const std::exception &e) {
-                    // The result itself is valid; losing its journal
-                    // record only costs a re-run on resume.  Keep
-                    // going quietly in keep-going mode, die loudly in
-                    // fail-fast (a broken journal would make every
-                    // later resume silently partial).
-                    if (!keepGoing_)
-                        throw;
-                    CATSIM_WARN("checkpoint append failed for ",
-                                labels[i], ": ", e.what());
-                }
-            }
+    std::vector<Result> results(n);
+    GridOutcome outcome = runJournaledGrid(
+        grid,
+        [&results](std::size_t i, const std::string &blob) {
+            return decodeResult(blob, &results[i]);
         },
-        jobs_);
-
-    std::sort(errors_.begin(), errors_.end(),
-              [](const CellError &a, const CellError &b) {
-                  return a.index < b.index;
-              });
-    if (!errors_.empty()) {
-        CATSIM_WARN("sweep keep-going: ", errors_.size(), "/", n, " ",
-                    kind, " cells failed permanently; their results "
-                    "are NaN and they were not checkpointed");
-        for (const auto &e : errors_)
-            CATSIM_WARN("  cell ", e.index, " (", e.label, "), ",
-                        e.attempts, " attempts: ", e.message);
-    }
+        [&results, &eval](std::size_t i) {
+            results[i] = eval(i);
+            return encodeResult(results[i]);
+        });
+    for (const CellError &e : outcome.errors)
+        markFailed(&results[e.index]);
+    errors_ = std::move(outcome.errors);
+    resumedCells_ = outcome.resumed;
     return results;
 }
 

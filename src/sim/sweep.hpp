@@ -5,7 +5,7 @@
  * The paper's headline figures are grids of independent
  * workload x scheme x system evaluations (Fig 10: counters x levels x
  * thresholds x 18 workloads), so a SweepRunner takes the whole grid as
- * a flat vector of cells and evaluates them across a thread pool
+ * a flat vector of cells and evaluates them with parallelFor
  * (CATSIM_JOBS workers by default).  Results come back indexed by cell
  * - never by completion order - and every cell's evaluation is
  * deterministic given its spec, so the output is bit-identical to the
@@ -22,8 +22,10 @@
  * cells - because each cell is a pure function of its spec, the
  * resumed output is byte-identical to an uninterrupted run.  With
  * CATSIM_SWEEP_KEEP_GOING=1 a failing cell is retried once and then
- * recorded as a structured CellError while the rest of the grid
- * completes (default remains fail-fast).
+ * recorded as a structured CellError (its result slot holds NaN, or an
+ * EvalResult with cmrpo = NaN) while the rest of the grid completes
+ * (default remains fail-fast).  The journal, retry and error report
+ * all live in runJournaledGrid (sim/checkpoint.hpp).
  */
 
 #ifndef CATSIM_SIM_SWEEP_HPP
@@ -71,21 +73,6 @@ struct AdaptiveCell
     SystemPreset preset = SystemPreset::DualCore2Ch;
     AdaptiveAttackSpec attack;
     SchemeConfig scheme;
-};
-
-/**
- * One cell that failed permanently under keep-going mode: which cell,
- * what it was, and what its final attempt threw.  The cell's result
- * slot holds NaN (metric runs) or an EvalResult with cmrpo = NaN, and
- * the cell is NOT journaled, so a checkpointed resume re-runs exactly
- * the failed cells.
- */
-struct CellError
-{
-    std::size_t index = 0;  //!< position in the cells vector
-    std::string label;      //!< cell label for the error report
-    std::string message;    //!< what() of the last attempt
-    int attempts = 0;       //!< evaluation attempts made (max 2)
 };
 
 /** Evaluates experiment grids concurrently. */
@@ -137,8 +124,8 @@ class SweepRunner
                                    const AdaptiveCell &)> &fn);
 
     /**
-     * Arbitrary per-cell metric on the same pool and shared baseline
-     * cache; results[i] belongs to cells[i].  @p fn must be
+     * Arbitrary per-cell metric on the same workers and shared
+     * baseline cache; results[i] belongs to cells[i].  @p fn must be
      * deterministic given its cell and thread-safe against concurrent
      * calls (the shared ExperimentRunner is).  This is how benches
      * with bespoke evaluations (e.g. the split-schedule ablation's
@@ -186,15 +173,15 @@ class SweepRunner
 
   private:
     /**
-     * Shared engine behind every run* method: journal replay, cell
-     * evaluation across the pool, retry/keep-going handling, and
-     * per-cell journal appends.  @p kind names the run flavor (part
-     * of the journal run key); @p specs/@p labels are per-cell.
+     * Shared engine behind every run* method: builds the grid's
+     * journal keys and hands it to runJournaledGrid.  @p kind names
+     * the run flavor (part of the journal run key); @p specs/@p labels
+     * are per-cell.
      */
     template <typename Result>
     std::vector<Result> runJournaled(
         const char *kind, const std::vector<std::string> &specs,
-        const std::vector<std::string> &labels,
+        std::vector<std::string> labels,
         const std::function<Result(std::size_t)> &eval);
 
     ExperimentRunner runner_;

@@ -149,6 +149,8 @@ TEST(CheckpointJournalTest, DistinctRunKeysUseDistinctFiles)
 {
     EXPECT_NE(checkpointFileName("grid A"), checkpointFileName("grid B"));
     EXPECT_EQ(checkpointFileName("grid A"), checkpointFileName("grid A"));
+    // Pinned: a renamed file would orphan every existing journal.
+    EXPECT_EQ(checkpointFileName("grid A"), "run-c8751a5a850e3efc.catj");
 }
 
 TEST(CheckpointJournalTest, HeaderMismatchStartsFresh)
@@ -516,6 +518,51 @@ TEST(CheckpointSweep, FailFastNamesTheFailingCell)
         EXPECT_NE(what.find("cell 2"), std::string::npos) << what;
         EXPECT_NE(what.find("boom"), std::string::npos) << what;
     }
+}
+
+TEST(CheckpointSweep, ResumedFailFastNamesTheGridIndex)
+{
+    // Cells 0-1 come from the journal, so cell 3 is at position 1 of
+    // the pending list; the fail-fast error must name grid index 3.
+    const auto dir = freshDir("ckpt_failfast_resume");
+    const auto cells = tagGrid(4);
+    std::atomic<std::uint64_t> failTag{2};
+    const auto fn = [&failTag](ExperimentRunner &, const SweepCell &c) {
+        if (c.tag == failTag.load())
+            throw std::runtime_error("boom in tag "
+                                     + std::to_string(c.tag));
+        return tagMetric(c);
+    };
+
+    SweepRunner first(kTestScale, 1);
+    first.setCheckpointDir(dir.string());
+    EXPECT_THROW(first.runMetric(cells, fn), std::runtime_error);
+
+    for (std::size_t jobs : {std::size_t(1), std::size_t(4)}) {
+        failTag.store(3);
+        SweepRunner resumed(kTestScale, jobs);
+        resumed.setCheckpointDir(dir.string());
+        std::string what;
+        try {
+            resumed.runMetric(cells, fn);
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        EXPECT_NE(what.find("cell 3: boom in tag 3"), std::string::npos)
+            << "jobs=" << jobs << ": " << what;
+        EXPECT_EQ(what.find("cell 1"), std::string::npos)
+            << "jobs=" << jobs << ": " << what;
+    }
+
+    // Cell 2 finished before cell 3 failed, so it is journaled too.
+    failTag.store(99);
+    SweepRunner healed(kTestScale, 1);
+    healed.setCheckpointDir(dir.string());
+    const auto got = healed.runMetric(cells, fn);
+    EXPECT_EQ(healed.lastResumedCells(), 3u);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(got[i], tagMetric(cells[i])) << "cell " << i;
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointMc, CampaignResumesAfterTornAppend)

@@ -92,7 +92,7 @@ std::unique_ptr<ActivationSource>
 makeCloudSource(std::uint32_t bank)
 {
     CloudMixParams p = mixParams(1000 + bank);
-    // Skew the per-bank lengths so work stealing has something to do.
+    // Skew the per-bank lengths so shards finish unevenly.
     p.actsPerEpoch = (bank % 8 < 2) ? 20000 : 4000;
     return std::make_unique<CloudMixSource>(p);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the thread pool and parallelFor (common/parallel).
+ * Tests for parallelFor, the one parallel primitive (common/parallel).
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -70,56 +71,6 @@ TEST(Parallel, DefaultJobsRejectsGarbage)
     EXPECT_GE(defaultJobs(), 1u);
 }
 
-TEST(Parallel, ThreadPoolRunsEveryJob)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 1000; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(Parallel, ThreadPoolInlineWhenSingleJob)
-{
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.jobs(), 1u);
-    // Inline execution: the job has run by the time submit returns.
-    int value = 0;
-    pool.submit([&value] { value = 7; });
-    EXPECT_EQ(value, 7);
-    pool.wait();
-}
-
-TEST(Parallel, ThreadPoolReusableAcrossBatches)
-{
-    ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&counter] { counter.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(counter.load(), (batch + 1) * 50);
-    }
-}
-
-TEST(Parallel, ThreadPoolPropagatesFirstException)
-{
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([i] {
-            if (i == 3)
-                throw std::runtime_error("boom");
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is consumed; the pool keeps working afterwards.
-    std::atomic<int> counter{0};
-    pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(Parallel, ParallelForCoversEachIndexOnce)
 {
     const std::size_t n = 337;
@@ -163,41 +114,6 @@ TEST(Parallel, ParallelForPropagatesException)
                  std::runtime_error);
 }
 
-TEST(Parallel, ThreadPoolReportsLowestSubmissionIndex)
-{
-    // Every job throws; regardless of which worker finishes first, the
-    // surfaced error must belong to submission 0.
-    ThreadPool pool(4);
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([i] {
-            throw std::runtime_error("err" + std::to_string(i));
-        });
-    }
-    try {
-        pool.wait();
-        FAIL() << "expected rethrow";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("task 0"), std::string::npos) << what;
-        EXPECT_NE(what.find("err0"), std::string::npos) << what;
-    }
-}
-
-TEST(Parallel, ThreadPoolInlineAlsoWrapsTaskIndex)
-{
-    ThreadPool pool(1);
-    pool.submit([] {});
-    pool.submit([] { throw std::runtime_error("inline boom"); });
-    try {
-        pool.wait();
-        FAIL() << "expected rethrow";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("task 1"), std::string::npos) << what;
-        EXPECT_NE(what.find("inline boom"), std::string::npos) << what;
-    }
-}
-
 TEST(Parallel, ParallelForReportsLowestFailingCell)
 {
     // All cells throw.  The first indices handed out are 0..jobs-1, so
@@ -221,88 +137,10 @@ TEST(Parallel, ParallelForReportsLowestFailingCell)
     }
 }
 
-TEST(Parallel, ThreadPoolStealsFromLoadedWorker)
-{
-    // Round-robin placement homes submissions 0,4,8,... on worker 0.
-    // Making exactly those slow gives worker 0 a ~300 ms backlog while
-    // workers 1-3 drain their fast tasks almost instantly - they MUST
-    // steal to finish, and every task still runs exactly once.
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> ran(64);
-    for (auto &r : ran)
-        r.store(0);
-    for (std::size_t i = 0; i < 64; ++i) {
-        pool.submit([i, &ran] {
-            if (i % 4 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            ran[i].fetch_add(1);
-        });
-    }
-    pool.wait();
-    for (std::size_t i = 0; i < 64; ++i)
-        EXPECT_EQ(ran[i].load(), 1) << "task " << i;
-    EXPECT_GT(pool.steals(), 0u);
-}
-
-TEST(Parallel, StealingStillReportsLowestSubmissionIndex)
-{
-    // Same skew as above, but every task throws.  Steals reorder WHERE
-    // tasks run; the surfaced error must still be submission 0's.
-    ThreadPool pool(4);
-    for (std::size_t i = 0; i < 32; ++i) {
-        pool.submit([i] {
-            if (i % 4 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            throw std::runtime_error("err" + std::to_string(i));
-        });
-    }
-    try {
-        pool.wait();
-        FAIL() << "expected rethrow";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("task 0:"), std::string::npos) << what;
-        EXPECT_NE(what.find("err0"), std::string::npos) << what;
-    }
-}
-
-TEST(Parallel, StealSiteFaultIsAttributedToTheStolenTask)
-{
-    // Arm every pool_steal hit: any stolen task dies at the steal
-    // boundary.  With worker 0 buried in sleeps, steals are forced, so
-    // wait() must surface a FaultInjected-derived failure - proving
-    // the fail-point registry covers the stealing path.
-    fault::installFailpoints("pool_steal@*");
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (std::size_t i = 0; i < 64; ++i) {
-        pool.submit([i, &ran] {
-            if (i % 4 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            ran.fetch_add(1);
-        });
-    }
-    bool threw = false;
-    try {
-        pool.wait();
-    } catch (const std::runtime_error &e) {
-        threw = true;
-        EXPECT_NE(std::string(e.what()).find("pool_steal"),
-                  std::string::npos)
-            << e.what();
-    }
-    fault::installFailpoints("");
-    EXPECT_GT(pool.steals(), 0u);
-    EXPECT_TRUE(threw);
-}
-
 TEST(Parallel, ParallelForBitIdenticalAcrossJobCounts)
 {
     // Each cell is a pure function of its index; any job count (and
-    // any steal schedule) must produce the same output vector.
+    // any index handout order) must produce the same output vector.
     auto cell = [](std::size_t i) {
         std::uint64_t h = i * 0x9E3779B97F4A7C15ULL + 1;
         h ^= h >> 31;
@@ -333,20 +171,64 @@ TEST(Parallel, NumaPinEnvParse)
     ::unsetenv("CATSIM_NUMA_PIN");
 }
 
-TEST(Parallel, NumaPinnedPoolStillRunsEverything)
+TEST(Parallel, NumaPinnedParallelForStillRunsEverything)
 {
-    // Pinning is a placement hint; with it enabled the pool must stay
-    // correct (and be a harmless no-op where sysfs is unavailable).
+    // Pinning is a placement hint; with it enabled parallelFor must
+    // stay correct (and be a harmless no-op where sysfs is unavailable).
     ::setenv("CATSIM_NUMA_PIN", "1", 1);
-    {
-        ThreadPool pool(4);
-        std::atomic<int> counter{0};
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&counter] { counter.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(counter.load(), 200);
-    }
+    std::vector<int> hits(200, 0);
+    parallelFor(
+        hits.size(), [&hits](std::size_t i) { ++hits[i]; }, 4);
     ::unsetenv("CATSIM_NUMA_PIN");
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i], 1) << "index " << i;
+}
+
+TEST(Parallel, ParallelForUsesAtMostJobsThreads)
+{
+    // min(jobs, n) workers: never more threads than jobs, and jobs == 1
+    // runs every index on the calling thread.
+    std::mutex mutex;
+    std::set<std::thread::id> seen;
+    parallelFor(
+        64,
+        [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        },
+        3);
+    EXPECT_GE(seen.size(), 1u);
+    EXPECT_LE(seen.size(), 3u);
+
+    seen.clear();
+    parallelFor(
+        8,
+        [&](std::size_t) {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        },
+        1);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
+}
+
+TEST(Parallel, ParallelCellFaultNamesTheCell)
+{
+    // The parallel_cell fail point fires before the cell body, so an
+    // armed hit surfaces as that cell's failure.
+    fault::installFailpoints("parallel_cell@3");
+    std::vector<int> hits(6, 0);
+    std::string what;
+    try {
+        parallelFor(
+            hits.size(), [&hits](std::size_t i) { ++hits[i]; }, 1);
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    fault::installFailpoints("");
+    EXPECT_NE(what.find("cell 2:"), std::string::npos) << what;
+    EXPECT_EQ(hits, (std::vector<int>{1, 1, 0, 0, 0, 0}));
 }
 
 TEST(Parallel, ParallelForSerialNamesFailingIndex)

@@ -71,8 +71,7 @@ prcatConfig()
 /**
  * Deterministic per-global-bank source: every shard count builds the
  * same source for the same bank.  Banks where bank % 8 < 2 run "hot"
- * (10x the activations) - the attacked-bank skew the work stealing
- * exists for.
+ * (10x the activations) - the attacked-bank skew of a real fleet.
  */
 std::unique_ptr<ActivationSource>
 makeSkewedSource(std::uint32_t bank)
@@ -254,7 +253,7 @@ TEST(Shard, PartialJournalRerunsOnlyMissingShards)
         ShardedSim crashy(cfg, kRows, ShardPlan::make(kBanks, 4), 1);
         const FleetResult broken = crashy.run(makeSkewedSource, "part");
         ASSERT_EQ(broken.errors.size(), 1u);
-        EXPECT_EQ(broken.errors[0].shard, 0u);
+        EXPECT_EQ(broken.errors[0].index, 0u);
         EXPECT_EQ(broken.errors[0].attempts, 2);
         EXPECT_LT(broken.total.banks, kBanks);
     }
@@ -298,6 +297,57 @@ TEST(Shard, FailFastNamesTheFailingShard)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(Shard, ResumedFleetErrorsNameTheRealShard)
+{
+    const auto dir = freshDir("fleet_resume_errors");
+    EnvVarGuard env("CATSIM_CHECKPOINT");
+    EnvVarGuard keep("CATSIM_SWEEP_KEEP_GOING");
+    ::setenv("CATSIM_CHECKPOINT", dir.c_str(), 1);
+    const SchemeConfig cfg = prcatConfig();
+    const auto plan = [] { return ShardPlan::make(kBanks, 4); };
+    FailpointGuard fp;
+
+    // jobs=1 makes the shard_task hits follow the pending order.  The
+    // 2nd hit kills shard 1, leaving only shard 0 journaled.
+    fault::installFailpoints("shard_task@2");
+    ShardedSim first(cfg, kRows, plan(), 1);
+    EXPECT_THROW(first.run(makeSkewedSource, "resume-err"),
+                 std::runtime_error);
+
+    // Pending is now {1, 2, 3}: the 3rd hit is shard 3, at position 2
+    // of the pending list.  Fail-fast must name shard 3.
+    fault::installFailpoints("shard_task@3");
+    ShardedSim second(cfg, kRows, plan(), 1);
+    std::string what;
+    try {
+        second.run(makeSkewedSource, "resume-err");
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("shard 3:"), std::string::npos) << what;
+    EXPECT_EQ(what.find(" 2:"), std::string::npos) << what;
+
+    // Shards 1-2 finished before shard 3 failed, so only shard 3 is
+    // pending (position 0).  Keep-going records it under index 3.
+    ::setenv("CATSIM_SWEEP_KEEP_GOING", "1", 1);
+    fault::installFailpoints("shard_task@1,shard_task@2");
+    ShardedSim third(cfg, kRows, plan(), 1);
+    const FleetResult partial = third.run(makeSkewedSource, "resume-err");
+    EXPECT_EQ(partial.resumedShards, 3u);
+    ASSERT_EQ(partial.errors.size(), 1u);
+    EXPECT_EQ(partial.errors[0].index, 3u);
+    EXPECT_EQ(partial.errors[0].attempts, 2);
+    EXPECT_EQ(partial.total.banks, kBanks - plan().shards()[3].numBanks);
+
+    ::unsetenv("CATSIM_SWEEP_KEEP_GOING");
+    fault::installFailpoints("");
+    ShardedSim healed(cfg, kRows, plan(), 1);
+    const FleetResult fixed = healed.run(makeSkewedSource, "resume-err");
+    EXPECT_EQ(fixed.resumedShards, 3u);
+    expectSameReplay(fixed.total, unshardedRun(cfg), "healed fleet");
+    std::filesystem::remove_all(dir);
 }
 
 namespace

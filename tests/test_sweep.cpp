@@ -311,6 +311,8 @@ TEST(SweepDiskCache, FileNameEncodesKeyAndScale)
     EXPECT_EQ(a, baselineCacheFileName("0/comm1/42", 0.02));
     EXPECT_EQ(a.find('/'), std::string::npos)
         << "file name must be path-safe, got " << a;
+    // Pinned: a renamed file would orphan every existing cache entry.
+    EXPECT_EQ(a, "0_comm1_42-3926b532acce55b0-3f947ae147ae147b.catb");
 }
 
 } // namespace catsim
