@@ -5,8 +5,14 @@
  * victim-refresh energy (averaged over the 18 workloads), and the
  * total, plus the optimistic 2K/8K counter-cache horizontal lines.
  * The paper's observation: the total is minimized near M=128.
+ *
+ * The 18 workloads x 13 counter sizes run as one SweepRunner grid, so
+ * the 18 baselines are computed in parallel; the means accumulate in
+ * workload order from the cell-indexed results, so the table matches
+ * the old serial loop byte for byte at any CATSIM_JOBS.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "common/stats.hpp"
@@ -16,45 +22,70 @@
 
 using namespace catsim;
 
+namespace
+{
+
+/** Tag of a workload's activation-rate cell (SCA cells carry 0). */
+constexpr std::uint64_t kActsCell = 1;
+
+} // namespace
+
 int
 main()
 {
     const double scale = benchScale();
-    benchBanner("Fig 2: SCA energy vs number of counters", scale);
+    SweepRunner sweep(scale);
+    benchBanner("Fig 2: SCA energy vs number of counters", scale,
+                sweep.jobs());
 
-    ExperimentRunner runner(scale);
-
-    // Per-bank, per-interval averages over the full workload suite.
-    RunningStat actsPerBankInterval;
-    std::vector<RunningStat> refreshRows; // per M index
     const std::uint32_t counters[] = {16,   32,   64,   128,  256,
                                       512,  1024, 2048, 4096, 8192,
                                       16384, 32768, 65536};
     const std::size_t nM = std::size(counters);
-    refreshRows.resize(nM);
 
-    for (const auto &profile : workloadSuite()) {
-        WorkloadSpec w;
-        w.name = profile.name;
-        const auto &base =
-            runner.baseline(SystemPreset::DualCore2Ch, w);
-        const double banks =
-            static_cast<double>(base.bankStreams.size());
-        const double epochs =
-            std::max<double>(1.0, static_cast<double>(base.epochs));
-        actsPerBankInterval.add(
-            static_cast<double>(base.totalActivations) / banks
-            / epochs);
-        for (std::size_t i = 0; i < nM; ++i) {
-            const auto cfg =
-                mkScheme(SchemeKind::Sca, counters[i], 11, 32768);
-            const auto r = runner.evalCmrpo(SystemPreset::DualCore2Ch,
-                                            w, cfg);
-            // Rows refreshed per bank per (unscaled) interval.
-            refreshRows[i].add(
-                static_cast<double>(r.stats.victimRowsRefreshed)
-                / banks / epochs * scale);
+    // One grid: per workload, its activation-rate cell, then one SCA
+    // cell per M.  Each cell's value is per bank per interval.
+    const auto &suite = workloadSuite();
+    std::vector<SweepCell> cells;
+    cells.reserve(suite.size() * (nM + 1));
+    for (const auto &profile : suite) {
+        SweepCell acts;
+        acts.workload.name = profile.name;
+        acts.tag = kActsCell;
+        cells.push_back(acts);
+        for (std::uint32_t m : counters) {
+            SweepCell c;
+            c.workload.name = profile.name;
+            c.scheme = mkScheme(SchemeKind::Sca, m, 11, 32768);
+            cells.push_back(c);
         }
+    }
+    const auto perBankInterval = sweep.runMetric(
+        cells, [scale](ExperimentRunner &runner, const SweepCell &c) {
+            const auto &base = runner.baseline(c.preset, c.workload);
+            const double banks =
+                static_cast<double>(base.bankStreams.size());
+            const double epochs = std::max<double>(
+                1.0, static_cast<double>(base.epochs));
+            if (c.tag == kActsCell)
+                return static_cast<double>(base.totalActivations)
+                       / banks / epochs;
+            const auto r = runner.evalCmrpo(c.preset, c.workload,
+                                            c.scheme);
+            // Rows refreshed per bank per (unscaled) interval.
+            return static_cast<double>(r.stats.victimRowsRefreshed)
+                   / banks / epochs * scale;
+        });
+
+    // Averages over the full workload suite, accumulated in workload
+    // order.
+    RunningStat actsPerBankInterval;
+    std::vector<RunningStat> refreshRows(nM); // per M index
+    std::size_t idx = 0;
+    for (std::size_t w = 0; w < suite.size(); ++w) {
+        actsPerBankInterval.add(perBankInterval[idx++]);
+        for (std::size_t i = 0; i < nM; ++i)
+            refreshRows[i].add(perBankInterval[idx++]);
     }
 
     const double acts = actsPerBankInterval.mean() / scale;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/checksum.hpp"
 #include "common/durable_io.hpp"
@@ -321,8 +322,25 @@ runJournaledGrid(
     const std::size_t n = grid.keys.size();
     GridOutcome outcome;
 
+    if (!grid.order.empty()) {
+        // A bad order would skip some cells and run others twice.
+        bool valid = grid.order.size() == n;
+        std::vector<bool> seen(n, false);
+        for (std::size_t k = 0; valid && k < n; ++k) {
+            const std::size_t i = grid.order[k];
+            valid = i < n && !seen[i];
+            if (valid)
+                seen[i] = true;
+        }
+        if (!valid)
+            throw std::invalid_argument(
+                grid.name + ": evaluation order is not a permutation of "
+                            "the cells");
+    }
+
     // Replay: journaled cells (validated by key + CRC at open) are
-    // restored in place and never re-run.
+    // restored in place and never re-run; the rest queue up in
+    // evaluation order.
     std::unique_ptr<CheckpointJournal> journal;
     std::vector<std::size_t> pending;
     pending.reserve(n);
@@ -330,7 +348,8 @@ runJournaledGrid(
         journal = std::make_unique<CheckpointJournal>(grid.checkpointDir,
                                                       grid.runKey);
     std::string blob;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = grid.order.empty() ? k : grid.order[k];
         if (journal && journal->lookup(grid.keys[i], &blob)
             && restore(i, blob))
             ++outcome.resumed;
@@ -343,7 +362,7 @@ runJournaledGrid(
                       journal->path());
 
     std::mutex mutex;
-    std::size_t failedAt = n;
+    std::size_t failedPos = pending.size();
     std::exception_ptr failure;
     const auto runCell = [&](std::size_t i) {
         std::string record;
@@ -388,12 +407,12 @@ runJournaledGrid(
                 try {
                     runCell(i);
                 } catch (...) {
-                    // Fail-fast: keep the lowest failing GRID index
-                    // (parallelFor only knows positions in pending),
-                    // then let parallelFor stop handing out cells.
+                    // Fail-fast: keep the failure earliest in
+                    // dispatch order, then let parallelFor stop
+                    // handing out cells.
                     std::lock_guard<std::mutex> lock(mutex);
-                    if (i < failedAt) {
-                        failedAt = i;
+                    if (p < failedPos) {
+                        failedPos = p;
                         failure = std::current_exception();
                     }
                     throw;
@@ -403,7 +422,9 @@ runJournaledGrid(
     } catch (...) {
         if (!failure)
             throw; // raised by parallelFor itself, not by a cell
-        rethrowIndexed(failure, grid.unit, failedAt);
+        // Name the GRID index: parallelFor only knows positions in
+        // pending.
+        rethrowIndexed(failure, grid.unit, pending[failedPos]);
     }
 
     std::sort(outcome.errors.begin(), outcome.errors.end(),

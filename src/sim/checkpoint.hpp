@@ -33,6 +33,9 @@
  * (SweepRunner) and fleets (ShardedSim::run) describe their grid as a
  * run key plus per-cell record keys and hand it the two per-cell
  * operations (restore a journaled result, evaluate a fresh one).
+ * A grid may name an evaluation order (sweeps dispatch one cell per
+ * distinct baseline first); journal keys, result slots and error
+ * reports stay indexed by grid position whatever the order.
  * With CATSIM_SWEEP_KEEP_GOING=1 a failing cell is retried once and
  * then recorded as a CellError while the rest of the grid completes;
  * the default is fail-fast.
@@ -157,6 +160,9 @@ struct GridRun
     const char *failPoint = "sweep_cell"; //!< armed once per attempt
     std::vector<std::string> keys;        //!< journal record key per cell
     std::vector<std::string> labels;      //!< report label per cell
+    /** Evaluation order: a permutation of the cell indices, walked
+     *  when pending cells are handed out; empty = index order. */
+    std::vector<std::size_t> order;
     std::string checkpointDir;            //!< journal directory; "" = none
     std::string runKey;                   //!< journal identity of the grid
     std::size_t jobs = 1;                 //!< parallelFor workers
@@ -176,13 +182,17 @@ struct GridOutcome
  * its result slot and returns false when the blob does not parse (the
  * cell then re-runs); @p eval(i) computes cell i's result slot and
  * returns the blob to journal.  Pending cells run through parallelFor
- * on grid.jobs workers and each is journaled the moment it finishes.
+ * on grid.jobs workers in grid.order (index order when empty) and
+ * each is journaled the moment it finishes.
  *
- * Fail-fast (the default) rethrows the lowest failing cell's error
- * prefixed with "<unit> <grid index>: "; cells finished before it stay
- * journaled.  Keep-going retries a failing cell once, then records it
- * in the outcome and leaves its slot to the caller.  Result slots are
- * distinct per cell, so @p eval needs no locking of its own.
+ * Fail-fast (the default) rethrows the error of the failing cell
+ * earliest in that order, prefixed with "<unit> <grid index>: "; cells
+ * finished before it (earlier in dispatch order) stay journaled.
+ * Keep-going retries a failing cell once, then records it in the
+ * outcome and leaves its slot to the caller.  Result slots are
+ * distinct per cell, so @p eval needs no locking of its own.  Throws
+ * std::invalid_argument when a non-empty grid.order is not a
+ * permutation of the cell indices.
  */
 GridOutcome runJournaledGrid(
     const GridRun &grid,

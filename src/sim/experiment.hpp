@@ -185,6 +185,14 @@ class ExperimentRunner
     void setBaselineCacheDir(const std::string &dir);
     const std::string &baselineCacheDir() const { return cacheDir_; }
 
+    /**
+     * Baseline cache key of (preset, workload): evaluations with equal
+     * keys share one baseline run, in memory and on disk.  Sweeps group
+     * cells by it to dispatch distinct baselines first.
+     */
+    std::string cacheKey(SystemPreset preset,
+                         const WorkloadSpec &workload) const;
+
     /** On-disk path a baseline would use; "" when caching is off. */
     std::string baselineCachePath(SystemPreset preset,
                                   const WorkloadSpec &workload) const;
@@ -221,8 +229,6 @@ class ExperimentRunner
                               const SchemeConfig &scheme,
                               double exec_seconds,
                               const TimingConfig &sys) const;
-    std::string cacheKey(SystemPreset preset,
-                         const WorkloadSpec &workload) const;
     const BaselineEntry &baselineEntry(SystemPreset preset,
                                        const WorkloadSpec &workload);
     BaselinePtr computeBaseline(SystemPreset preset,

@@ -1,6 +1,8 @@
 #include "sweep.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -63,6 +65,31 @@ labelsOf(const std::vector<Cell> &cells)
     for (const auto &c : cells)
         labels.push_back(cellLabel(c));
     return labels;
+}
+
+/**
+ * Baseline-first dispatch order: cells sorted stably by how many
+ * earlier cells share their baseline cache key.  The first cell of
+ * every distinct baseline starts before any baseline's second cell,
+ * so the workers compute different baselines at once instead of
+ * queueing behind one, and later cells find theirs cached.
+ */
+std::vector<std::size_t>
+baselineFirstOrder(const ExperimentRunner &runner,
+                   const std::vector<SweepCell> &cells)
+{
+    std::map<std::string, std::size_t> seen;
+    std::vector<std::size_t> rank(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        rank[i] = seen[runner.cacheKey(cells[i].preset,
+                                       cells[i].workload)]++;
+    std::vector<std::size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&rank](std::size_t a, std::size_t b) {
+                         return rank[a] < rank[b];
+                     });
+    return order;
 }
 
 /** Journal blob codecs; doubles bit-exact so resumes are identical. */
@@ -150,6 +177,7 @@ std::vector<Result>
 SweepRunner::runJournaled(const char *kind,
                           const std::vector<std::string> &specs,
                           std::vector<std::string> labels,
+                          std::vector<std::size_t> order,
                           const std::function<Result(std::size_t)> &eval)
 {
     const std::size_t n = specs.size();
@@ -160,6 +188,7 @@ SweepRunner::runJournaled(const char *kind,
     GridRun grid;
     grid.name = kind;
     grid.labels = std::move(labels);
+    grid.order = std::move(order);
     grid.checkpointDir = checkpointDir_;
     grid.jobs = jobs_;
     grid.keepGoing = keepGoing_;
@@ -198,6 +227,7 @@ SweepRunner::runCmrpo(const std::vector<SweepCell> &cells)
 {
     return runJournaled<EvalResult>(
         "cmrpo", specsOf(cells), labelsOf(cells),
+        baselineFirstOrder(runner_, cells),
         [this, &cells](std::size_t i) {
             const SweepCell &c = cells[i];
             return runner_.evalCmrpo(c.preset, c.workload, c.scheme);
@@ -209,6 +239,7 @@ SweepRunner::runEto(const std::vector<SweepCell> &cells)
 {
     return runJournaled<double>(
         "eto", specsOf(cells), labelsOf(cells),
+        baselineFirstOrder(runner_, cells),
         [this, &cells](std::size_t i) {
             const SweepCell &c = cells[i];
             return runner_.evalEto(c.preset, c.workload, c.scheme);
@@ -219,7 +250,7 @@ std::vector<EvalResult>
 SweepRunner::runAdaptive(const std::vector<AdaptiveCell> &cells)
 {
     return runJournaled<EvalResult>(
-        "adaptive", specsOf(cells), labelsOf(cells),
+        "adaptive", specsOf(cells), labelsOf(cells), {},
         [this, &cells](std::size_t i) {
             const AdaptiveCell &c = cells[i];
             return runner_.evalAdaptive(c.preset, c.attack, c.scheme);
@@ -230,7 +261,7 @@ std::vector<double>
 SweepRunner::runAdaptiveEto(const std::vector<AdaptiveCell> &cells)
 {
     return runJournaled<double>(
-        "adaptive-eto", specsOf(cells), labelsOf(cells),
+        "adaptive-eto", specsOf(cells), labelsOf(cells), {},
         [this, &cells](std::size_t i) {
             const AdaptiveCell &c = cells[i];
             return runner_.evalAdaptiveEto(c.preset, c.attack, c.scheme);
@@ -244,7 +275,7 @@ SweepRunner::runAdaptiveMetric(
                                const AdaptiveCell &)> &fn)
 {
     return runJournaled<double>(
-        "adaptive-metric", specsOf(cells), labelsOf(cells),
+        "adaptive-metric", specsOf(cells), labelsOf(cells), {},
         [this, &cells, &fn](std::size_t i) {
             return fn(runner_, cells[i]);
         });
@@ -258,6 +289,7 @@ SweepRunner::runMetric(
 {
     return runJournaled<double>(
         "metric", specsOf(cells), labelsOf(cells),
+        baselineFirstOrder(runner_, cells),
         [this, &cells, &fn](std::size_t i) {
             return fn(runner_, cells[i]);
         });

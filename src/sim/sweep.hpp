@@ -14,7 +14,16 @@
  * Cells that share a (preset, workload) pair share one baseline timing
  * run: the underlying ExperimentRunner's cache hands out per-key
  * shared futures, so the first cell to need a baseline computes it and
- * concurrent cells block instead of duplicating the work.
+ * concurrent cells block instead of duplicating the work.  Grids are
+ * usually built workload-major, so runCmrpo, runEto and runMetric
+ * dispatch cells baseline-first: sorted stably by how many earlier
+ * cells share their baseline key (ExperimentRunner::cacheKey), which
+ * starts the first cell of every distinct baseline before any
+ * baseline's second cell.  The workers then compute different
+ * baselines at once, and later cells find theirs cached.  The order
+ * moves only when a cell runs: results, journal keys and error
+ * reports stay indexed by cell.  Adaptive grids have no baseline and
+ * run in index order.
  *
  * Crash safety: with CATSIM_CHECKPOINT=dir every finished cell is
  * journaled (sim/checkpoint.hpp) the moment it completes, and a
@@ -156,7 +165,8 @@ class SweepRunner
      * in lastErrors() while every other cell completes.  Defaults to
      * the CATSIM_SWEEP_KEEP_GOING environment variable (=1 enables);
      * off means fail-fast (the first cell failure aborts the grid,
-     * though cells finished before it are still journaled).
+     * though cells finished before it in dispatch order are still
+     * journaled).
      */
     void setKeepGoing(bool keepGoing) { keepGoing_ = keepGoing; }
     bool keepGoing() const { return keepGoing_; }
@@ -176,12 +186,13 @@ class SweepRunner
      * Shared engine behind every run* method: builds the grid's
      * journal keys and hands it to runJournaledGrid.  @p kind names
      * the run flavor (part of the journal run key); @p specs/@p labels
-     * are per-cell.
+     * are per-cell; @p order is the evaluation order (empty = index
+     * order).
      */
     template <typename Result>
     std::vector<Result> runJournaled(
         const char *kind, const std::vector<std::string> &specs,
-        std::vector<std::string> labels,
+        std::vector<std::string> labels, std::vector<std::size_t> order,
         const std::function<Result(std::size_t)> &eval);
 
     ExperimentRunner runner_;

@@ -85,6 +85,28 @@ tagGrid(std::size_t n)
     return cells;
 }
 
+/** Two workloads x three schemes, workload-major (comm1 then swapt):
+ *  baseline-first dispatch runs it as cells 0, 3, 1, 4, 2, 5. */
+std::vector<SweepCell>
+smallGrid()
+{
+    std::vector<SweepCell> cells;
+    for (const char *name : {"comm1", "swapt"}) {
+        for (SchemeKind kind :
+             {SchemeKind::Drcat, SchemeKind::Sca, SchemeKind::Pra}) {
+            SweepCell c;
+            c.workload.name = name;
+            c.scheme.kind = kind;
+            c.scheme.numCounters = 64;
+            c.scheme.maxLevels = 11;
+            c.scheme.threshold = 32768;
+            c.scheme.praProbability = 0.002;
+            cells.push_back(c);
+        }
+    }
+    return cells;
+}
+
 /** Cheap deterministic metric: irrational in the tag, ignores the
  *  runner, so resume equality is a strict bit-pattern check. */
 double
@@ -420,6 +442,79 @@ TEST(CheckpointSweep, CmrpoKillAndResumeBitIdentical)
     for (std::size_t i = 0; i < again.size(); ++i)
         EXPECT_EQ(again[i].cmrpo, expected[i].cmrpo) << "cell " << i;
     std::filesystem::remove_all(dir);
+}
+
+/** A multi-workload grid killed mid-run: the fail-point counts cells
+ *  in dispatch order, while the error, journal and results stay
+ *  indexed by grid cell. */
+TEST(CheckpointSweep, MultiWorkloadKillAndResumeBitIdentical)
+{
+    FailpointGuard guard;
+    const auto dir = freshDir("ckpt_sweep_multi");
+    const auto cells = smallGrid();
+
+    SweepRunner ref(kTestScale, 1);
+    const auto expected = ref.runCmrpo(cells);
+
+    // Dispatch order is 0, 3, 1, ...: the third cell to start is grid
+    // cell 1, after cells 0 and 3 are journaled.
+    SweepRunner victim(kTestScale, 1);
+    victim.setCheckpointDir(dir.string());
+    fault::installFailpoints("sweep_cell@3");
+    std::string what;
+    try {
+        victim.runCmrpo(cells);
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    fault::installFailpoints("");
+    EXPECT_EQ(what.rfind("cell 1:", 0), 0u) << what;
+
+    SweepRunner resumed(kTestScale, 1);
+    resumed.setCheckpointDir(dir.string());
+    const auto got = resumed.runCmrpo(cells);
+    EXPECT_EQ(resumed.lastResumedCells(), 2u);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].cmrpo, expected[i].cmrpo) << "cell " << i;
+        EXPECT_EQ(got[i].baselineSeconds, expected[i].baselineSeconds);
+        EXPECT_EQ(got[i].power.dynamic, expected[i].power.dynamic);
+        EXPECT_EQ(got[i].power.statik, expected[i].power.statik);
+        EXPECT_EQ(got[i].power.refresh, expected[i].power.refresh);
+        EXPECT_EQ(got[i].stats.activations, expected[i].stats.activations);
+        EXPECT_EQ(got[i].stats.victimRowsRefreshed,
+                  expected[i].stats.victimRowsRefreshed);
+        EXPECT_EQ(got[i].stats.prngBits, expected[i].stats.prngBits);
+        EXPECT_EQ(got[i].stats.sramAccesses,
+                  expected[i].stats.sramAccesses);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointGrid, RejectsOrderThatIsNotAPermutation)
+{
+    // An order that repeats or drops a cell would leave a result slot
+    // unevaluated; the runner refuses it before evaluating anything.
+    const auto restore = [](std::size_t, const std::string &) {
+        return false;
+    };
+    std::size_t evals = 0;
+    const auto eval = [&evals](std::size_t) {
+        ++evals;
+        return std::string();
+    };
+    const std::vector<std::vector<std::size_t>> badOrders = {
+        {0, 0, 2}, {0, 1}, {0, 1, 3}};
+    for (const auto &order : badOrders) {
+        GridRun grid;
+        grid.name = "test";
+        grid.keys = {"a", "b", "c"};
+        grid.labels = grid.keys;
+        grid.order = order;
+        EXPECT_THROW(runJournaledGrid(grid, restore, eval),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(evals, 0u);
 }
 
 TEST(CheckpointSweep, KeepGoingRecordsErrorAndCompletesGrid)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep engine: serial/parallel equivalence,
- * baseline dedup under contention, and the on-disk baseline cache.
+ * baseline dedup under contention, baseline-first dispatch order, and
+ * the on-disk baseline cache.
  */
 
 #include <gtest/gtest.h>
@@ -223,6 +224,70 @@ TEST(Sweep, ResultsIndexedByCellNotCompletionOrder)
                                         cells[i].scheme);
         EXPECT_EQ(results[i].cmrpo, r.cmrpo) << "cell " << i;
     }
+}
+
+TEST(Sweep, DistinctBaselinesDispatchedFirst)
+{
+    // Workload-major grids start the first cell of every distinct
+    // baseline before any baseline's second cell.  One job makes the
+    // start order observable; tags carry the grid index.
+    auto cells = smallGrid(); // comm1 x 3, then swapt x 3
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        cells[i].tag = i;
+    std::vector<std::size_t> started;
+    SweepRunner serial(kTestScale, 1);
+    const auto results = serial.runMetric(
+        cells, [&started](ExperimentRunner &, const SweepCell &c) {
+            started.push_back(c.tag);
+            return static_cast<double>(c.tag);
+        });
+    EXPECT_EQ(started, (std::vector<std::size_t>{0, 3, 1, 4, 2, 5}));
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(results[i], static_cast<double>(i))
+            << "results stay indexed by cell";
+
+    // Adaptive grids have no baseline and keep index order, even when
+    // their presets alternate (which a baseline-key order would group).
+    std::vector<AdaptiveCell> adaptive(4);
+    for (std::size_t i = 0; i < adaptive.size(); ++i) {
+        adaptive[i].preset = i < 2 ? SystemPreset::DualCore2Ch
+                                   : SystemPreset::QuadCore2Ch;
+        adaptive[i].attack.seed = i;
+    }
+    std::vector<std::uint64_t> adaptiveStarted;
+    serial.runAdaptiveMetric(
+        adaptive,
+        [&adaptiveStarted](ExperimentRunner &, const AdaptiveCell &c) {
+            adaptiveStarted.push_back(c.attack.seed);
+            return 0.0;
+        });
+    EXPECT_EQ(adaptiveStarted, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+
+    // Four workloads x three schemes at four jobs: one baseline per
+    // workload, and the dispatch order never changes a result.
+    std::vector<SweepCell> grid;
+    for (const char *name : {"comm1", "comm2", "swapt", "libq"}) {
+        for (SchemeKind kind :
+             {SchemeKind::Drcat, SchemeKind::Sca, SchemeKind::Pra}) {
+            SweepCell c;
+            c.workload.name = name;
+            c.scheme.kind = kind;
+            c.scheme.numCounters = 64;
+            c.scheme.maxLevels = 11;
+            c.scheme.threshold = 32768;
+            c.scheme.praProbability = 0.002;
+            grid.push_back(c);
+        }
+    }
+    SweepRunner one(kTestScale, 1);
+    const auto expected = one.runCmrpo(grid);
+    SweepRunner four(kTestScale, 4);
+    const auto got = four.runCmrpo(grid);
+    EXPECT_EQ(one.runner().baselineComputeCount(), 4u);
+    EXPECT_EQ(four.runner().baselineComputeCount(), 4u);
+    ASSERT_EQ(expected.size(), got.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        expectBitIdentical(expected[i], got[i], i);
 }
 
 TEST(SweepDiskCache, RoundTrip)
