@@ -7,7 +7,6 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "common/table.hpp"
 #include "reliability/montecarlo.hpp"
@@ -25,11 +24,7 @@ main()
     // Crash safety: with CATSIM_CHECKPOINT=dir the Monte-Carlo section
     // journals each trial batch; a killed run resumes from the journal
     // and prints byte-identical output.
-    std::unique_ptr<CheckpointJournal> journal;
     const std::string ckptDir = checkpointDirFromEnv();
-    if (!ckptDir.empty())
-        journal =
-            std::make_unique<CheckpointJournal>(ckptDir, "fig01-mc-v1");
 
     // Paper setting: "Assuming mild row accesses during refresh
     // intervals, we set Q0 to 10, 15, 20, and 40" for T = 32K..8K.
@@ -84,7 +79,7 @@ main()
         McCampaignSpec spec;
         spec.prng = McCampaignSpec::Prng::True;
         spec.seed = 2024;
-        const auto r = praWindowFailuresResumable(spec, journal.get());
+        const auto r = praWindowFailuresResumable(spec, ckptDir);
         mc.addRow({"true-prng", TextTable::sci(r.windowFailureProb, 2),
                    TextTable::sci(r.unsurvivabilityAfter(20.0, 25.0),
                                   2)});
@@ -97,7 +92,7 @@ main()
         spec.prng = McCampaignSpec::Prng::Lfsr;
         spec.lfsrWidth = 8;
         spec.seed = 0xAB;
-        const auto r = praWindowFailuresResumable(spec, journal.get());
+        const auto r = praWindowFailuresResumable(spec, ckptDir);
         mc.addRow({"lfsr-prng", TextTable::sci(r.windowFailureProb, 2),
                    TextTable::sci(r.unsurvivabilityAfter(20.0, 25.0),
                                   2)});

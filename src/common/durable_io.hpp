@@ -13,6 +13,10 @@
  * (or on filesystems that reject directory fsync) they return false
  * and the caller carries on - durability narrows to the page cache,
  * which is still no worse than the pre-helper behaviour.
+ *
+ * readWholeFile() is the matching read side: loaders validate a whole
+ * in-memory image rather than a stream whose fail state conflates EOF
+ * with I/O error.
  */
 
 #ifndef CATSIM_COMMON_DURABLE_IO_HPP
@@ -28,6 +32,12 @@ bool syncFile(const std::string &path);
 
 /** fsync the directory containing @p path (durability of renames). */
 bool syncParentDir(const std::string &path);
+
+/**
+ * Read the file at @p path into @p out in one allocation.
+ * @return false when it cannot be opened or read.
+ */
+bool readWholeFile(const std::string &path, std::string *out);
 
 } // namespace catsim
 

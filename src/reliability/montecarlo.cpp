@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -92,50 +93,50 @@ McCampaignSpec::journalKeyPrefix() const
 
 McResult
 praWindowFailuresResumable(const McCampaignSpec &spec,
-                           CheckpointJournal *journal)
+                           const std::string &checkpointDir)
 {
     const std::uint64_t batchSize =
         spec.windowsPerBatch ? spec.windowsPerBatch : 1;
-    const std::string prefix = spec.journalKeyPrefix();
+    const std::uint64_t batches =
+        spec.windows / batchSize + (spec.windows % batchSize != 0);
+    const auto windowsIn = [&](std::uint64_t batch) {
+        return std::min(batchSize, spec.windows - batch * batchSize);
+    };
 
-    McResult total;
-    total.windows = spec.windows;
-    std::uint64_t resumed = 0;
-    for (std::uint64_t batch = 0, start = 0; start < spec.windows;
-         ++batch, start += batchSize) {
-        const std::uint64_t count =
-            std::min(batchSize, spec.windows - start);
-        const std::string key =
-            prefix + "|#" + std::to_string(batch);
-
-        if (journal) {
-            std::string blob;
-            std::uint64_t failed = 0, windows = 0;
-            if (journal->lookup(key, &blob)) {
-                BlobReader r(blob);
-                if (r.getU64(&failed) && r.getU64(&windows)
-                    && r.atEnd() && windows == count) {
-                    total.failedWindows += failed;
-                    ++resumed;
-                    continue;
-                }
-            }
-        }
-
-        const auto prng = makeBatchPrng(spec, batch);
-        const McResult br =
-            praWindowFailures(*prng, spec.threshold, spec.p, count);
-        total.failedWindows += br.failedWindows;
-        if (journal) {
+    // One cell per batch, run serially; fail-fast, since a dropped
+    // batch would bias the failure probability.
+    GridRun grid;
+    grid.name = "Monte-Carlo batch";
+    grid.checkpointDir = checkpointDir;
+    grid.runKey = spec.journalKeyPrefix();
+    for (std::uint64_t batch = 0; batch < batches; ++batch) {
+        grid.keys.push_back(grid.runKey + "|#" + std::to_string(batch));
+        grid.labels.push_back("#" + std::to_string(batch));
+    }
+    std::vector<std::uint64_t> failed(batches, 0);
+    runJournaledGrid(
+        grid,
+        [&](std::size_t batch, const std::string &blob) {
+            BlobReader r(blob);
+            std::uint64_t windows = 0;
+            return r.getU64(&failed[batch]) && r.getU64(&windows)
+                   && r.atEnd() && windows == windowsIn(batch);
+        },
+        [&](std::size_t batch) {
+            const auto prng = makeBatchPrng(spec, batch);
+            const McResult br = praWindowFailures(
+                *prng, spec.threshold, spec.p, windowsIn(batch));
+            failed[batch] = br.failedWindows;
             BlobWriter w;
             w.putU64(br.failedWindows);
             w.putU64(br.windows);
-            journal->append(key, w.str());
-        }
-    }
-    if (resumed > 0)
-        CATSIM_INFORM("checkpoint: resumed ", resumed,
-                      " Monte-Carlo batches (", prefix, ")");
+            return w.str();
+        });
+
+    McResult total;
+    total.windows = spec.windows;
+    for (std::uint64_t f : failed)
+        total.failedWindows += f;
     total.windowFailureProb = total.windows == 0
         ? 0.0
         : static_cast<double>(total.failedWindows)

@@ -24,8 +24,6 @@
 namespace catsim
 {
 
-class CheckpointJournal;
-
 /** Result of a window-failure Monte-Carlo run. */
 struct McResult
 {
@@ -79,18 +77,22 @@ struct McCampaignSpec
     std::uint64_t windows = 3000;     //!< total trials
     std::uint64_t windowsPerBatch = 512;
 
-    /** Journal key prefix: every spec field, so a changed campaign
-     *  never reuses a stale batch. */
+    /** Journal run key and record key prefix: every spec field, so a
+     *  changed campaign never reuses a stale batch. */
     std::string journalKeyPrefix() const;
 };
 
 /**
- * Run (or resume) the campaign.  With @p journal non-null, finished
- * batches are read back instead of re-simulated and fresh batches are
- * appended as they complete; with null it just runs everything.
+ * Run (or resume) the campaign as a runJournaledGrid() grid of batches
+ * (one worker, fail-fast).  With a non-empty @p checkpointDir,
+ * finished batches are read back from the campaign's journal there
+ * (run key journalKeyPrefix()) instead of re-simulated, and fresh
+ * batches are journaled as they complete; with "" it just runs
+ * everything.  A failing batch throws std::runtime_error naming it
+ * ("cell <batch>: ...").
  */
 McResult praWindowFailuresResumable(const McCampaignSpec &spec,
-                                    CheckpointJournal *journal);
+                                    const std::string &checkpointDir);
 
 } // namespace catsim
 

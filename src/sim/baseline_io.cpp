@@ -7,12 +7,14 @@
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/checksum.hpp"
 #include "common/durable_io.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace catsim
 {
@@ -20,33 +22,71 @@ namespace catsim
 namespace
 {
 
-/** Bump on any layout change; stale files are silently recomputed. */
-constexpr std::uint64_t kMagic = 0x43415453494D4231ULL; // "CATSIMB1"
-
-void
-putU64(std::ostream &os, std::uint64_t v)
+/** Journal run key of a baseline file: model version, key, scale. */
+std::string
+baselineRunKey(const std::string &key, double scale)
 {
-    os.write(reinterpret_cast<const char *>(&v), sizeof v);
+    std::ostringstream os;
+    os << "baseline|v=" << kBaselineModelVersion << '|' << key
+       << "|scale=" << std::hexfloat << scale;
+    return os.str();
 }
 
-void
-putDouble(std::ostream &os, double v)
+constexpr std::string_view kRecordKey = "timing";
+
+std::string
+encodeTiming(const TimingResult &r)
 {
-    os.write(reinterpret_cast<const char *>(&v), sizeof v);
+    BlobWriter w;
+    w.putU64(r.execCycles);
+    w.putDouble(r.execSeconds);
+    w.putU64(r.epochs);
+    w.putU64(r.controller.reads);
+    w.putU64(r.controller.writes);
+    w.putU64(r.controller.writeDrains);
+    w.putU64(r.controller.victimRefreshEvents);
+    w.putU64(r.controller.victimRowsRefreshed);
+    w.putU64(r.controller.lastCompletion);
+    putStats(w, r.scheme);
+    w.putU64(r.totalActivations);
+    w.putU64(r.victimRowsRefreshed);
+    w.putU64(r.bankStreams.size());
+    for (const auto &stream : r.bankStreams) {
+        const std::size_t bytes = stream.size() * sizeof(RowAddr);
+        w.putU64(bytes);
+        w.putBytes(stream.data(), bytes);
+    }
+    return w.str();
 }
 
 bool
-getU64(std::istream &is, std::uint64_t *v)
+decodeTiming(std::string_view blob, TimingResult *r)
 {
-    is.read(reinterpret_cast<char *>(v), sizeof *v);
-    return static_cast<bool>(is);
-}
-
-bool
-getDouble(std::istream &is, double *v)
-{
-    is.read(reinterpret_cast<char *>(v), sizeof *v);
-    return static_cast<bool>(is);
+    BlobReader rd(blob);
+    std::uint64_t banks = 0;
+    if (!rd.getU64(&r->execCycles) || !rd.getDouble(&r->execSeconds)
+        || !rd.getU64(&r->epochs) || !rd.getU64(&r->controller.reads)
+        || !rd.getU64(&r->controller.writes)
+        || !rd.getU64(&r->controller.writeDrains)
+        || !rd.getU64(&r->controller.victimRefreshEvents)
+        || !rd.getU64(&r->controller.victimRowsRefreshed)
+        || !rd.getU64(&r->controller.lastCompletion)
+        || !getStats(rd, &r->scheme) || !rd.getU64(&r->totalActivations)
+        || !rd.getU64(&r->victimRowsRefreshed) || !rd.getU64(&banks))
+        return false;
+    // Streams are appended one by one, so a corrupt bank count runs out
+    // of bytes instead of driving one huge allocation.
+    for (std::uint64_t b = 0; b < banks; ++b) {
+        std::uint64_t bytes = 0;
+        std::string_view raw;
+        if (!rd.getU64(&bytes) || bytes % sizeof(RowAddr) != 0
+            || !rd.getBytes(bytes, &raw))
+            return false;
+        auto &stream = r->bankStreams.emplace_back(bytes / sizeof(RowAddr));
+        if (bytes != 0) // an empty vector's data() may be null
+            std::memcpy(stream.data(), raw.data(), bytes);
+    }
+    return rd.atEnd();
 }
 
 } // namespace
@@ -80,59 +120,20 @@ saveBaseline(const std::string &path, const std::string &key,
     if (target.has_parent_path())
         std::filesystem::create_directories(target.parent_path(), ec);
 
-    // Serialize into memory first so the CRC32 trailer covers the
-    // exact bytes that hit the disk.
-    std::ostringstream payload(std::ios::binary);
-    putU64(payload, kMagic);
-    putU64(payload, kBaselineModelVersion);
-    putU64(payload, key.size());
-    payload.write(key.data(), static_cast<std::streamsize>(key.size()));
-    putDouble(payload, scale);
-
-    putU64(payload, result.execCycles);
-    putDouble(payload, result.execSeconds);
-    putU64(payload, result.epochs);
-    putU64(payload, result.controller.reads);
-    putU64(payload, result.controller.writes);
-    putU64(payload, result.controller.writeDrains);
-    putU64(payload, result.controller.victimRefreshEvents);
-    putU64(payload, result.controller.victimRowsRefreshed);
-    putU64(payload, result.controller.lastCompletion);
-    putU64(payload, result.scheme.activations);
-    putU64(payload, result.scheme.refreshEvents);
-    putU64(payload, result.scheme.victimRowsRefreshed);
-    putU64(payload, result.scheme.sramAccesses);
-    putU64(payload, result.scheme.prngBits);
-    putU64(payload, result.scheme.splits);
-    putU64(payload, result.scheme.merges);
-    putU64(payload, result.scheme.epochResets);
-    putU64(payload, result.scheme.counterDramReads);
-    putU64(payload, result.scheme.counterDramWrites);
-    putU64(payload, result.totalActivations);
-    putU64(payload, result.victimRowsRefreshed);
-
-    putU64(payload, result.bankStreams.size());
-    for (const auto &stream : result.bankStreams) {
-        putU64(payload, stream.size());
-        payload.write(reinterpret_cast<const char *>(stream.data()),
-                      static_cast<std::streamsize>(stream.size()
-                                                   * sizeof(RowAddr)));
-    }
-    std::string blob = payload.str();
-    const std::uint32_t crc = crc32(blob.data(), blob.size());
-    blob.append(reinterpret_cast<const char *>(&crc), sizeof crc);
+    std::string image = journalHeader(baselineRunKey(key, scale));
+    appendJournalRecord(&image, kRecordKey, encodeTiming(result));
 
     if (fault::shouldFail("baseline_write_enospc")) {
         CATSIM_WARN("baseline cache: cannot write ", path,
                     " (injected ENOSPC)");
         return false;
     }
-    // Injected torn write: half the blob reaches the final path, as a
+    // Injected torn write: half the image reaches the final path, as a
     // crash between rename and device writeback would leave it.  The
-    // CRC trailer makes the next load miss and recompute.
+    // record's CRC makes the next load miss and recompute.
     const std::size_t writeLen = fault::shouldFail("baseline_write_torn")
-        ? blob.size() / 2
-        : blob.size();
+        ? image.size() / 2
+        : image.size();
 
     // Unique temp name per writer (thread id alone can collide across
     // processes sharing a cache dir); renamed into place atomically.
@@ -146,7 +147,7 @@ saveBaseline(const std::string &path, const std::string &key,
             CATSIM_WARN("baseline cache: cannot write ", tmp);
             return false;
         }
-        os.write(blob.data(), static_cast<std::streamsize>(writeLen));
+        os.write(image.data(), static_cast<std::streamsize>(writeLen));
         os.flush();
         if (!os) {
             CATSIM_WARN("baseline cache: short write to ", tmp);
@@ -174,90 +175,25 @@ bool
 loadBaseline(const std::string &path, const std::string &key,
              double scale, TimingResult *out)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
+    std::string image;
+    if (!readWholeFile(path, &image))
         return false;
     if (fault::shouldFail("baseline_read"))
         return false; // models an I/O error / short read mid-load
 
-    // Read the whole image so the CRC32 trailer can be verified before
-    // any field is trusted; the image size also bounds every length
-    // field below, so a corrupt file can never trigger a huge
-    // allocation.
-    std::string image;
-    {
-        std::ostringstream os;
-        os << file.rdbuf();
-        image = os.str();
-    }
-    if (image.size() < sizeof(std::uint32_t))
-        return false;
-    std::uint32_t storedCrc = 0;
-    std::memcpy(&storedCrc,
-                image.data() + image.size() - sizeof storedCrc,
-                sizeof storedCrc);
-    const std::size_t payloadSize = image.size() - sizeof storedCrc;
-    if (crc32(image.data(), payloadSize) != storedCrc)
-        return false; // torn, truncated, or bit-flipped: recompute
-    const std::uint64_t fileSize = payloadSize;
-
-    std::istringstream is(image.substr(0, payloadSize),
-                          std::ios::binary);
-
-    std::uint64_t magic = 0, version = 0, keyLen = 0;
-    if (!getU64(is, &magic) || magic != kMagic || !getU64(is, &version)
-        || version != kBaselineModelVersion || !getU64(is, &keyLen)
-        || keyLen > 4096)
-        return false;
-    std::string storedKey(keyLen, '\0');
-    is.read(storedKey.data(), static_cast<std::streamsize>(keyLen));
-    double storedScale = 0.0;
-    if (!is || storedKey != key || !getDouble(is, &storedScale)
-        || storedScale != scale)
-        return false;
-
+    // Exactly one valid record, ending at EOF: a torn, bit-flipped,
+    // stale (other run key) or appended-to file misses and recomputes.
+    std::string_view blob;
+    std::size_t records = 0;
+    const std::size_t end = parseJournal(
+        image, baselineRunKey(key, scale),
+        [&](std::string_view, std::string_view b) {
+            blob = b;
+            return ++records == 1;
+        });
     TimingResult r;
-    bool ok = getU64(is, &r.execCycles) && getDouble(is, &r.execSeconds)
-              && getU64(is, &r.epochs) && getU64(is, &r.controller.reads)
-              && getU64(is, &r.controller.writes)
-              && getU64(is, &r.controller.writeDrains)
-              && getU64(is, &r.controller.victimRefreshEvents)
-              && getU64(is, &r.controller.victimRowsRefreshed)
-              && getU64(is, &r.controller.lastCompletion)
-              && getU64(is, &r.scheme.activations)
-              && getU64(is, &r.scheme.refreshEvents)
-              && getU64(is, &r.scheme.victimRowsRefreshed)
-              && getU64(is, &r.scheme.sramAccesses)
-              && getU64(is, &r.scheme.prngBits)
-              && getU64(is, &r.scheme.splits)
-              && getU64(is, &r.scheme.merges)
-              && getU64(is, &r.scheme.epochResets)
-              && getU64(is, &r.scheme.counterDramReads)
-              && getU64(is, &r.scheme.counterDramWrites)
-              && getU64(is, &r.totalActivations)
-              && getU64(is, &r.victimRowsRefreshed);
-    if (!ok)
+    if (records != 1 || end != image.size() || !decodeTiming(blob, &r))
         return false;
-
-    std::uint64_t banks = 0;
-    if (!getU64(is, &banks) || banks > 65536)
-        return false;
-    r.bankStreams.resize(banks);
-    for (auto &stream : r.bankStreams) {
-        std::uint64_t len = 0;
-        if (!getU64(is, &len) || len > fileSize / sizeof(RowAddr))
-            return false;
-        stream.resize(len);
-        is.read(reinterpret_cast<char *>(stream.data()),
-                static_cast<std::streamsize>(len * sizeof(RowAddr)));
-        if (!is)
-            return false;
-    }
-    // Reject trailing garbage (e.g. a truncated-then-appended file).
-    is.peek();
-    if (!is.eof())
-        return false;
-
     *out = std::move(r);
     return true;
 }

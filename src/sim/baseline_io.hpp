@@ -8,15 +8,18 @@
  * and reused across processes.  Repeated bench runs then skip the
  * timing baseline entirely (the dominant cost at small grids).
  *
- * The format is a versioned little-endian binary blob that embeds the
- * logical cache key and the experiment scale; any mismatch (stale
- * format, colliding file name, different scale) makes the load fail
- * and the caller recompute.  Files are written via a temp path plus
- * atomic rename so concurrent writers can never expose a torn file,
- * fsync'd (file, then containing directory) before/after the rename
- * so a crash can't leave a renamed-but-empty entry, and carry a CRC32
- * trailer so any torn or bit-flipped content is rejected at load time
- * instead of feeding corrupt streams into a figure.
+ * A cache file is a single-record journal image (the layout in
+ * sim/checkpoint.hpp): the journal header, whose run key names
+ * kBaselineModelVersion, the logical cache key and the scale (in
+ * hexfloat), then one CRC'd record whose blob is the BlobWriter
+ * encoding of the TimingResult.  A load accepts the file only when the
+ * header matches and exactly one valid record ends at EOF; anything
+ * else (stale version, colliding file name, other scale, torn or
+ * bit-flipped bytes, trailing data) misses and the caller recomputes.
+ * Files are written via a temp path plus atomic rename so concurrent
+ * writers can never expose a torn file, fsync'd (file, then containing
+ * directory) before/after the rename so a crash can't leave a
+ * renamed-but-empty entry.
  */
 
 #ifndef CATSIM_SIM_BASELINE_IO_HPP
@@ -38,11 +41,11 @@ namespace catsim
  * stale files then miss and are recomputed instead of silently
  * feeding outdated streams into new figures.
  *
- * Version history: 1 = original layout; 2 = CRC32 trailer appended
- * (legacy files simply miss and are recomputed, matching the existing
- * stale-format policy).
+ * Version history: 1 = original layout; 2 = CRC32 trailer appended;
+ * 3 = journal image.  Files of any other version miss and are
+ * recomputed once.
  */
-constexpr std::uint64_t kBaselineModelVersion = 2;
+constexpr std::uint64_t kBaselineModelVersion = 3;
 
 /**
  * File name (not path) for a baseline cache entry: a sanitized key
@@ -59,7 +62,8 @@ bool saveBaseline(const std::string &path, const std::string &key,
                   double scale, const TimingResult &result);
 
 /**
- * Load a baseline from @p path into @p out.
+ * Load a baseline from @p path into @p out.  Never writes: a file
+ * that does not load is left for the next save to replace.
  * @return true only if the file exists, parses, and matches @p key
  *         and @p scale exactly.
  */

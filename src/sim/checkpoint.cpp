@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/checksum.hpp"
@@ -16,6 +15,7 @@
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
+#include "core/mitigation.hpp"
 
 namespace catsim
 {
@@ -25,87 +25,26 @@ namespace
 
 constexpr std::uint64_t kJournalMagic = 0x43415453494D4A31ULL; // CATSIMJ1
 constexpr std::uint64_t kJournalVersion = 1;
-/** Sanity bounds so a corrupt length field can't drive allocation. */
-constexpr std::uint64_t kMaxKeyLen = 1u << 20;
-constexpr std::uint64_t kMaxBlobLen = 1u << 28;
 
+/** Append the bytes of @p v (host order: little-endian). */
+template <typename T>
 void
-appendU64(std::string *buf, std::uint64_t v)
+appendRaw(std::string *buf, T v)
 {
     char raw[sizeof v];
     std::memcpy(raw, &v, sizeof v);
     buf->append(raw, sizeof v);
 }
 
-void
-appendU32(std::string *buf, std::uint32_t v)
+template <typename T>
+bool
+getRaw(BlobReader &r, T *v)
 {
-    char raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    buf->append(raw, sizeof v);
-}
-
-/** Cursor over an in-memory file image. */
-struct Cursor
-{
-    const std::string &data;
-    std::size_t pos = 0;
-
-    bool
-    readU64(std::uint64_t *v)
-    {
-        if (data.size() - pos < sizeof *v)
-            return false;
-        std::memcpy(v, data.data() + pos, sizeof *v);
-        pos += sizeof *v;
-        return true;
-    }
-
-    bool
-    readU32(std::uint32_t *v)
-    {
-        if (data.size() - pos < sizeof *v)
-            return false;
-        std::memcpy(v, data.data() + pos, sizeof *v);
-        pos += sizeof *v;
-        return true;
-    }
-
-    bool
-    readBytes(std::string *out, std::uint64_t len)
-    {
-        if (data.size() - pos < len)
-            return false;
-        out->assign(data.data() + pos, len);
-        pos += len;
-        return true;
-    }
-};
-
-/** Serialized header for @p runKey (magic..runKey plus CRC). */
-std::string
-makeHeader(const std::string &runKey)
-{
-    std::string h;
-    appendU64(&h, kJournalMagic);
-    appendU64(&h, kJournalVersion);
-    appendU64(&h, runKey.size());
-    h += runKey;
-    appendU32(&h, crc32(h.data(), h.size()));
-    return h;
-}
-
-/** Serialized record for (key, blob): lengths, bytes, CRC. */
-std::string
-makeRecord(const std::string &key, const std::string &blob)
-{
-    std::string r;
-    appendU64(&r, key.size());
-    appendU64(&r, blob.size());
-    r += key;
-    r += blob;
-    appendU32(&r, crc32(r.data(), r.size()));
-    return r;
+    std::string_view raw;
+    if (!r.getBytes(sizeof *v, &raw))
+        return false;
+    std::memcpy(v, raw.data(), sizeof *v);
+    return true;
 }
 
 /** what() of the in-flight exception (for CellError records). */
@@ -122,6 +61,59 @@ currentExceptionMessage()
 }
 
 } // namespace
+
+std::string
+journalHeader(const std::string &runKey)
+{
+    std::string h;
+    appendRaw(&h, kJournalMagic);
+    appendRaw(&h, kJournalVersion);
+    appendRaw(&h, std::uint64_t{runKey.size()});
+    h += runKey;
+    appendRaw(&h, crc32(h.data(), h.size()));
+    return h;
+}
+
+void
+appendJournalRecord(std::string *image, std::string_view key,
+                    std::string_view blob)
+{
+    const std::size_t start = image->size();
+    appendRaw(image, std::uint64_t{key.size()});
+    appendRaw(image, std::uint64_t{blob.size()});
+    image->append(key);
+    image->append(blob);
+    appendRaw(image, crc32(image->data() + start, image->size() - start));
+}
+
+std::size_t
+parseJournal(
+    std::string_view image, const std::string &runKey,
+    const std::function<bool(std::string_view key, std::string_view blob)>
+        &onRecord)
+{
+    const std::string header = journalHeader(runKey);
+    if (image.substr(0, header.size()) != header)
+        return 0;
+    const std::string_view records = image.substr(header.size());
+    BlobReader r(records);
+    std::size_t validEnd = 0; // offset into records
+    while (!r.atEnd()) {
+        std::uint64_t keyLen = 0, blobLen = 0;
+        std::string_view key, blob;
+        std::uint32_t storedCrc = 0;
+        if (!r.getU64(&keyLen) || !r.getU64(&blobLen)
+            || !r.getBytes(keyLen, &key) || !r.getBytes(blobLen, &blob)
+            || !r.getU32(&storedCrc))
+            break; // torn tail
+        const std::size_t framed = r.pos() - validEnd - sizeof storedCrc;
+        if (crc32(records.data() + validEnd, framed) != storedCrc
+            || !onRecord(key, blob))
+            break;
+        validEnd = r.pos();
+    }
+    return header.size() + validEnd;
+}
 
 std::string
 checkpointDirFromEnv()
@@ -154,68 +146,38 @@ CheckpointJournal::CheckpointJournal(const std::string &dir,
     path_ = (std::filesystem::path(dir) / checkpointFileName(runKey))
                 .string();
 
-    // Read the whole image up front: records are validated (and the
-    // torn tail truncated) against in-memory bytes, never a stream
-    // whose fail state conflates EOF with I/O error.
+    // Records are validated (and the torn tail truncated) against the
+    // in-memory image, never a stream whose fail state conflates EOF
+    // with I/O error.
     std::string image;
-    {
-        std::ifstream is(path_, std::ios::binary);
-        if (is) {
-            std::ostringstream os;
-            os << is.rdbuf();
-            image = os.str();
-        }
-    }
-
-    const std::string header = makeHeader(runKey);
+    readWholeFile(path_, &image);
     bool fresh = image.empty();
-    if (!fresh
-        && (image.size() < header.size()
-            || std::memcmp(image.data(), header.data(), header.size())
-                   != 0)) {
-        CATSIM_WARN("checkpoint journal ", path_,
-                    ": header mismatch (stale format or colliding run "
-                    "key); starting fresh");
-        fresh = true;
-    }
-
-    std::size_t validEnd = header.size();
+    std::size_t validEnd = 0;
     if (!fresh) {
-        Cursor cur{image, header.size()};
-        while (cur.pos < image.size()) {
-            const std::size_t recordStart = cur.pos;
+        const auto replay = [this](std::string_view key,
+                                   std::string_view blob) {
             if (fault::shouldFail("checkpoint_replay_short"))
-                break; // models a read failing mid-replay
-            std::uint64_t keyLen = 0, blobLen = 0;
-            std::string key, blob;
-            std::uint32_t storedCrc = 0;
-            if (!cur.readU64(&keyLen) || !cur.readU64(&blobLen)
-                || keyLen > kMaxKeyLen || blobLen > kMaxBlobLen
-                || !cur.readBytes(&key, keyLen)
-                || !cur.readBytes(&blob, blobLen)
-                || !cur.readU32(&storedCrc)) {
-                CATSIM_WARN("checkpoint journal ", path_,
-                            ": torn record at offset ", recordStart,
-                            "; truncating tail");
-                break;
-            }
-            const std::uint32_t computed = crc32(
-                image.data() + recordStart,
-                cur.pos - recordStart - sizeof storedCrc);
-            if (computed != storedCrc) {
-                CATSIM_WARN("checkpoint journal ", path_,
-                            ": CRC mismatch at offset ", recordStart,
-                            "; truncating tail");
-                break;
-            }
-            index_[key] = std::move(blob);
+                return false; // models a read failing mid-replay
+            index_[std::string(key)] = std::string(blob);
             ++replayed_;
-            validEnd = cur.pos;
+            return true;
+        };
+        validEnd = parseJournal(image, runKey, replay);
+        if (validEnd == 0) {
+            CATSIM_WARN("checkpoint journal ", path_,
+                        ": header mismatch (stale format or colliding run "
+                        "key); starting fresh");
+            fresh = true;
+        } else if (validEnd < image.size()) {
+            CATSIM_WARN("checkpoint journal ", path_,
+                        ": torn or corrupt record at offset ", validEnd,
+                        "; truncating tail");
         }
     }
 
     if (fresh) {
         // (Re)write header + truncate everything else.
+        const std::string header = journalHeader(runKey);
         std::ofstream os(path_, std::ios::binary | std::ios::trunc);
         if (!os || !os.write(header.data(),
                              static_cast<std::streamsize>(header.size())))
@@ -247,7 +209,8 @@ CheckpointJournal::lookup(const std::string &key,
 void
 CheckpointJournal::append(const std::string &key, const std::string &blob)
 {
-    const std::string record = makeRecord(key, blob);
+    std::string record;
+    appendJournalRecord(&record, key, blob);
     std::lock_guard<std::mutex> lock(appendMutex_);
     fault::maybeThrow("checkpoint_append_enospc");
     {
@@ -281,36 +244,74 @@ CheckpointJournal::append(const std::string &key, const std::string &blob)
 void
 BlobWriter::putU64(std::uint64_t v)
 {
-    appendU64(&buf_, v);
+    appendRaw(&buf_, v);
 }
 
 void
 BlobWriter::putDouble(double v)
 {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v, "double is 64-bit");
-    std::memcpy(&bits, &v, sizeof bits);
-    appendU64(&buf_, bits);
+    static_assert(sizeof v == sizeof(std::uint64_t), "double is 64-bit");
+    appendRaw(&buf_, v);
+}
+
+void
+BlobWriter::putBytes(const void *data, std::size_t len)
+{
+    buf_.append(static_cast<const char *>(data), len);
 }
 
 bool
 BlobReader::getU64(std::uint64_t *v)
 {
-    if (buf_.size() - pos_ < sizeof *v)
-        return false;
-    std::memcpy(v, buf_.data() + pos_, sizeof *v);
-    pos_ += sizeof *v;
-    return true;
+    return getRaw(*this, v);
+}
+
+bool
+BlobReader::getU32(std::uint32_t *v)
+{
+    return getRaw(*this, v);
 }
 
 bool
 BlobReader::getDouble(double *v)
 {
-    std::uint64_t bits = 0;
-    if (!getU64(&bits))
+    return getRaw(*this, v);
+}
+
+bool
+BlobReader::getBytes(std::uint64_t len, std::string_view *out)
+{
+    if (buf_.size() - pos_ < len)
         return false;
-    std::memcpy(v, &bits, sizeof *v);
+    *out = buf_.substr(pos_, len);
+    pos_ += len;
     return true;
+}
+
+void
+putStats(BlobWriter &w, const SchemeStats &s)
+{
+    w.putU64(s.activations);
+    w.putU64(s.refreshEvents);
+    w.putU64(s.victimRowsRefreshed);
+    w.putU64(s.sramAccesses);
+    w.putU64(s.prngBits);
+    w.putU64(s.splits);
+    w.putU64(s.merges);
+    w.putU64(s.epochResets);
+    w.putU64(s.counterDramReads);
+    w.putU64(s.counterDramWrites);
+}
+
+bool
+getStats(BlobReader &r, SchemeStats *s)
+{
+    return r.getU64(&s->activations) && r.getU64(&s->refreshEvents)
+           && r.getU64(&s->victimRowsRefreshed)
+           && r.getU64(&s->sramAccesses) && r.getU64(&s->prngBits)
+           && r.getU64(&s->splits) && r.getU64(&s->merges)
+           && r.getU64(&s->epochResets) && r.getU64(&s->counterDramReads)
+           && r.getU64(&s->counterDramWrites);
 }
 
 GridOutcome

@@ -1,7 +1,8 @@
 /**
  * @file
- * Crash-safe run journal, and the journaled grid runner that sweeps
- * and fleets share.
+ * The one on-disk format (journal images), the crash-safe run journal
+ * built on it, and the journaled grid runner that sweeps, fleets and
+ * Monte-Carlo campaigns share.
  *
  * Every sweep cell, fleet shard and Monte-Carlo trial batch is a pure
  * deterministic function of its spec, so a long run can be made
@@ -24,15 +25,23 @@
  *   record:  u64 keyLen | u64 blobLen | key bytes | blob bytes |
  *            u32 crc32(record bytes so far)
  *
- * Replay stops at the first short read or CRC mismatch, truncates the
- * file back to the last valid record (the torn tail a SIGKILL mid
- * append leaves behind), and appends from there.  A corrupt or torn
- * record is therefore never served - it is re-run instead.
+ * Blobs are BlobWriter encodings.  Baseline cache files
+ * (sim/baseline_io) use the same layout: a header whose run key names
+ * the model version, cache key and scale, then exactly one record
+ * holding the TimingResult.  parseJournal() is the one reader of the
+ * format, for both.
+ *
+ * Journal replay stops at the first short read or CRC mismatch,
+ * truncates the file back to the last valid record (the torn tail a
+ * SIGKILL mid append leaves behind), and appends from there.  A
+ * corrupt or torn record is therefore never served - it is re-run
+ * instead.
  *
  * runJournaledGrid() is the one resume/evaluate/journal loop: sweeps
- * (SweepRunner) and fleets (ShardedSim::run) describe their grid as a
- * run key plus per-cell record keys and hand it the two per-cell
- * operations (restore a journaled result, evaluate a fresh one).
+ * (SweepRunner), fleets (ShardedSim::run) and Monte-Carlo campaigns
+ * describe their grid as a run key plus per-cell record keys and hand
+ * it the two per-cell operations (restore a journaled result, evaluate
+ * a fresh one).
  * A grid may name an evaluation order (sweeps dispatch one cell per
  * distinct baseline first); journal keys, result slots and error
  * reports stay indexed by grid position whatever the order.
@@ -50,10 +59,13 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace catsim
 {
+
+struct SchemeStats;
 
 /** Checkpoint directory from CATSIM_CHECKPOINT ("" = disabled). */
 std::string checkpointDirFromEnv();
@@ -63,6 +75,33 @@ std::string checkpointFileName(const std::string &runKey);
 
 /** True when CATSIM_SWEEP_KEEP_GOING=1 requests keep-going grids. */
 bool keepGoingFromEnv();
+
+/**
+ * Header bytes of a journal image for @p runKey (magic, version, run
+ * key, CRC).
+ */
+std::string journalHeader(const std::string &runKey);
+
+/** Append one framed record (lengths, key, blob, CRC) to @p image. */
+void appendJournalRecord(std::string *image, std::string_view key,
+                         std::string_view blob);
+
+/**
+ * Read-only parse of a journal @p image written for @p runKey.  The
+ * header must match journalHeader(runKey) byte for byte.  Each record
+ * whose framing and CRC validate is handed to @p onRecord (views into
+ * @p image) in file order; the walk stops at the first short or
+ * corrupt record, or when @p onRecord returns false (that record is
+ * then not counted as valid).  Length fields are bounded only by the
+ * bytes left in the image.
+ *
+ * @return the end offset of the last valid record (the header's end
+ *         when there is none), or 0 when the header does not match.
+ */
+std::size_t parseJournal(
+    std::string_view image, const std::string &runKey,
+    const std::function<bool(std::string_view key, std::string_view blob)>
+        &onRecord);
 
 /**
  * One append-only journal of completed work records.
@@ -118,25 +157,40 @@ class BlobWriter
   public:
     void putU64(std::uint64_t v);
     void putDouble(double v);
+    /** Raw bytes, no length prefix (the caller writes one). */
+    void putBytes(const void *data, std::size_t len);
     const std::string &str() const { return buf_; }
 
   private:
     std::string buf_;
 };
 
+/**
+ * Reads what BlobWriter wrote, bounds-checked against the buffer: a
+ * failed get consumes nothing.  The buffer must outlive the reader.
+ */
 class BlobReader
 {
   public:
-    explicit BlobReader(const std::string &buf) : buf_(buf) {}
+    explicit BlobReader(std::string_view buf) : buf_(buf) {}
     bool getU64(std::uint64_t *v);
+    bool getU32(std::uint32_t *v);
     bool getDouble(double *v);
+    /** View of the next @p len bytes (no copy). */
+    bool getBytes(std::uint64_t len, std::string_view *out);
+    /** Bytes consumed so far. */
+    std::size_t pos() const { return pos_; }
     /** True when every byte was consumed (length sanity check). */
     bool atEnd() const { return pos_ == buf_.size(); }
 
   private:
-    const std::string &buf_;
+    std::string_view buf_;
     std::size_t pos_ = 0;
 };
+
+/** The SchemeStats fields, in their one journal order. */
+void putStats(BlobWriter &w, const SchemeStats &s);
+bool getStats(BlobReader &r, SchemeStats *s);
 
 /**
  * One cell that failed permanently under keep-going mode: which cell,

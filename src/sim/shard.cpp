@@ -31,16 +31,7 @@ std::string
 encodeReplay(const ReplayResult &r)
 {
     BlobWriter w;
-    w.putU64(r.stats.activations);
-    w.putU64(r.stats.refreshEvents);
-    w.putU64(r.stats.victimRowsRefreshed);
-    w.putU64(r.stats.sramAccesses);
-    w.putU64(r.stats.prngBits);
-    w.putU64(r.stats.splits);
-    w.putU64(r.stats.merges);
-    w.putU64(r.stats.epochResets);
-    w.putU64(r.stats.counterDramReads);
-    w.putU64(r.stats.counterDramWrites);
+    putStats(w, r.stats);
     w.putU64(r.banks);
     w.putU64(r.epochs);
     return w.str();
@@ -50,16 +41,7 @@ bool
 decodeReplay(const std::string &blob, ReplayResult *r)
 {
     BlobReader rd(blob);
-    return rd.getU64(&r->stats.activations)
-           && rd.getU64(&r->stats.refreshEvents)
-           && rd.getU64(&r->stats.victimRowsRefreshed)
-           && rd.getU64(&r->stats.sramAccesses)
-           && rd.getU64(&r->stats.prngBits)
-           && rd.getU64(&r->stats.splits)
-           && rd.getU64(&r->stats.merges)
-           && rd.getU64(&r->stats.epochResets)
-           && rd.getU64(&r->stats.counterDramReads)
-           && rd.getU64(&r->stats.counterDramWrites)
+    return getStats(rd, &r->stats)
            && rd.getU64(&r->banks) && rd.getU64(&r->epochs)
            && rd.atEnd();
 }

@@ -117,16 +117,7 @@ encodeResult(const EvalResult &e)
     w.putDouble(e.power.statik);
     w.putDouble(e.power.refresh);
     w.putDouble(e.baselineSeconds);
-    w.putU64(e.stats.activations);
-    w.putU64(e.stats.refreshEvents);
-    w.putU64(e.stats.victimRowsRefreshed);
-    w.putU64(e.stats.sramAccesses);
-    w.putU64(e.stats.prngBits);
-    w.putU64(e.stats.splits);
-    w.putU64(e.stats.merges);
-    w.putU64(e.stats.epochResets);
-    w.putU64(e.stats.counterDramReads);
-    w.putU64(e.stats.counterDramWrites);
+    putStats(w, e.stats);
     return w.str();
 }
 
@@ -138,15 +129,7 @@ decodeResult(const std::string &blob, EvalResult *e)
            && r.getDouble(&e->power.statik)
            && r.getDouble(&e->power.refresh)
            && r.getDouble(&e->baselineSeconds)
-           && r.getU64(&e->stats.activations)
-           && r.getU64(&e->stats.refreshEvents)
-           && r.getU64(&e->stats.victimRowsRefreshed)
-           && r.getU64(&e->stats.sramAccesses)
-           && r.getU64(&e->stats.prngBits) && r.getU64(&e->stats.splits)
-           && r.getU64(&e->stats.merges)
-           && r.getU64(&e->stats.epochResets)
-           && r.getU64(&e->stats.counterDramReads)
-           && r.getU64(&e->stats.counterDramWrites) && r.atEnd();
+           && getStats(r, &e->stats) && r.atEnd();
 }
 
 /** Mark a permanently-failed cell's result slot. */

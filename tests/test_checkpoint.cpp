@@ -672,30 +672,39 @@ TEST(CheckpointMc, CampaignResumesAfterTornAppend)
     spec.windows = 800;
     spec.windowsPerBatch = 256; // 4 batches (last one short)
 
-    const McResult expected = praWindowFailuresResumable(spec, nullptr);
+    const McResult expected = praWindowFailuresResumable(spec, "");
 
-    // The append of batch #2 tears mid-record and the "process" dies.
-    {
-        CheckpointJournal j(dir.string(), "mc-test");
-        fault::installFailpoints("checkpoint_append_torn@2");
-        EXPECT_THROW(praWindowFailuresResumable(spec, &j),
-                     FaultInjected);
-        fault::installFailpoints("");
+    // The second append (batch #1) tears mid-record and the "process"
+    // dies; the grid runner names the batch it was journaling.
+    fault::installFailpoints("checkpoint_append_torn@2");
+    std::string what;
+    try {
+        praWindowFailuresResumable(spec, dir.string());
+    } catch (const std::runtime_error &e) {
+        what = e.what();
     }
+    fault::installFailpoints("");
+    EXPECT_NE(what.find("cell 1: fail-point 'checkpoint_append_torn'"),
+              std::string::npos)
+        << what;
 
     // Resume: the torn record is dropped, batch 0 is served from the
     // journal, and the total matches the uninterrupted run exactly.
-    CheckpointJournal j(dir.string(), "mc-test");
-    EXPECT_EQ(j.replayedRecords(), 1u);
-    const McResult got = praWindowFailuresResumable(spec, &j);
+    {
+        CheckpointJournal j(dir.string(), spec.journalKeyPrefix());
+        EXPECT_EQ(j.replayedRecords(), 1u);
+    }
+    const McResult got = praWindowFailuresResumable(spec, dir.string());
     EXPECT_EQ(got.failedWindows, expected.failedWindows);
     EXPECT_EQ(got.windows, expected.windows);
     EXPECT_EQ(got.windowFailureProb, expected.windowFailureProb);
 
     // And a fully-journaled rerun still agrees.
-    CheckpointJournal k(dir.string(), "mc-test");
-    EXPECT_EQ(k.replayedRecords(), 4u);
-    const McResult again = praWindowFailuresResumable(spec, &k);
+    {
+        CheckpointJournal k(dir.string(), spec.journalKeyPrefix());
+        EXPECT_EQ(k.replayedRecords(), 4u);
+    }
+    const McResult again = praWindowFailuresResumable(spec, dir.string());
     EXPECT_EQ(again.failedWindows, expected.failedWindows);
     std::filesystem::remove_all(dir);
 }
@@ -710,8 +719,8 @@ TEST(CheckpointMc, LfsrCampaignIsDeterministic)
     spec.p = 0.01;
     spec.windows = 512;
     spec.windowsPerBatch = 128;
-    const McResult a = praWindowFailuresResumable(spec, nullptr);
-    const McResult b = praWindowFailuresResumable(spec, nullptr);
+    const McResult a = praWindowFailuresResumable(spec, "");
+    const McResult b = praWindowFailuresResumable(spec, "");
     EXPECT_EQ(a.failedWindows, b.failedWindows);
     EXPECT_EQ(a.windowFailureProb, b.windowFailureProb);
 }

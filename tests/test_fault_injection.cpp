@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "common/durable_io.hpp"
 #include "common/fault_injection.hpp"
 #include "sim/baseline_io.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace catsim
 {
@@ -51,6 +55,13 @@ scratchFile(const std::string &name)
     const auto path = dir / name;
     std::filesystem::remove(path);
     return path;
+}
+
+void
+writeBytes(const std::filesystem::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 } // namespace
@@ -154,6 +165,52 @@ TEST(FaultInjection, TornBaselineWriteNeverLoads)
     EXPECT_EQ(out.execSeconds, r.execSeconds);
     EXPECT_EQ(out.bankStreams, r.bankStreams);
     EXPECT_EQ(out.victimRowsRefreshed, r.victimRowsRefreshed);
+}
+
+TEST(FaultInjection, CorruptBaselineFileNeverLoads)
+{
+    const auto path = scratchFile("corrupt.catb");
+    const TimingResult r = sampleResult();
+    ASSERT_TRUE(saveBaseline(path.string(), "key", 0.02, r));
+    std::string good;
+    ASSERT_TRUE(readWholeFile(path.string(), &good));
+    TimingResult out;
+    const auto loads = [&](const std::string &bytes) {
+        writeBytes(path, bytes);
+        return loadBaseline(path.string(), "key", 0.02, &out);
+    };
+    ASSERT_TRUE(loads(good));
+    EXPECT_EQ(out.bankStreams, r.bankStreams);
+
+    for (std::size_t len = 0; len < good.size(); ++len)
+        ASSERT_FALSE(loads(good.substr(0, len))) << "truncated to " << len;
+    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+        std::string bad = good;
+        bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+        ASSERT_FALSE(loads(bad)) << "bit " << bit << " flipped";
+    }
+    EXPECT_FALSE(loads(good + "x")) << "trailing byte";
+    std::string twoRecords = good;
+    appendJournalRecord(&twoRecords, "timing", "x");
+    EXPECT_FALSE(loads(twoRecords)) << "second record appended";
+    // A load never writes: the rejected file is left as it was.
+    std::string after;
+    ASSERT_TRUE(readWholeFile(path.string(), &after));
+    EXPECT_EQ(after, twoRecords);
+
+    // The same record under a header naming another model version.
+    const auto header = [](std::uint64_t version) {
+        std::ostringstream key;
+        key << "baseline|v=" << version << "|key|scale=" << std::hexfloat
+            << 0.02;
+        return journalHeader(key.str());
+    };
+    const std::string current = header(kBaselineModelVersion);
+    ASSERT_EQ(good.compare(0, current.size(), current), 0);
+    const std::string record = good.substr(current.size());
+    EXPECT_FALSE(loads(header(kBaselineModelVersion - 1) + record));
+    EXPECT_FALSE(loads(header(kBaselineModelVersion + 1) + record));
+    EXPECT_TRUE(loads(current + record));
 }
 
 TEST(FaultInjection, BaselineWriteEnospcLeavesNoFile)
