@@ -52,10 +52,66 @@ class AddressMapper
     AddressMapper(const DramGeometry &geometry, MappingPolicy policy);
 
     /** Decode a physical byte address. */
-    MappedAddr map(Addr addr) const;
+    MappedAddr
+    map(Addr addr) const
+    {
+        MappedAddr m;
+        Addr a = addr >> offsetBits_;
+        auto take = [&a](std::uint32_t bits) -> std::uint32_t {
+            const std::uint32_t v =
+                static_cast<std::uint32_t>(a & ((1ULL << bits) - 1));
+            a >>= bits;
+            return v;
+        };
+
+        switch (policy_) {
+          case MappingPolicy::RowRankBankChanCol:
+            m.col = take(colBits_);
+            m.channel = take(chBits_);
+            m.bank = take(bkBits_);
+            m.rank = take(rkBits_);
+            m.row = take(rwBits_);
+            break;
+          case MappingPolicy::RowRankBankColChan:
+            m.channel = take(chBits_);
+            m.col = take(colBits_);
+            m.bank = take(bkBits_);
+            m.rank = take(rkBits_);
+            m.row = take(rwBits_);
+            break;
+        }
+        return m;
+    }
 
     /** Compose a physical byte address from coordinates. */
-    Addr compose(const MappedAddr &m) const;
+    Addr
+    compose(const MappedAddr &m) const
+    {
+        Addr a = 0;
+        std::uint32_t shift = offsetBits_;
+        auto put = [&a, &shift](std::uint64_t v, std::uint32_t bits) {
+            a |= (v & ((1ULL << bits) - 1)) << shift;
+            shift += bits;
+        };
+
+        switch (policy_) {
+          case MappingPolicy::RowRankBankChanCol:
+            put(m.col, colBits_);
+            put(m.channel, chBits_);
+            put(m.bank, bkBits_);
+            put(m.rank, rkBits_);
+            put(m.row, rwBits_);
+            break;
+          case MappingPolicy::RowRankBankColChan:
+            put(m.channel, chBits_);
+            put(m.col, colBits_);
+            put(m.bank, bkBits_);
+            put(m.rank, rkBits_);
+            put(m.row, rwBits_);
+            break;
+        }
+        return a;
+    }
 
     MappingPolicy policy() const { return policy_; }
     static std::string policyName(MappingPolicy policy);

@@ -34,14 +34,33 @@ class DramSystem
      * issued, considering bank, rank (tFAW/tRRD), auto-refresh, and the
      * channel data bus.
      */
-    Cycle earliestIssue(const BankId &id, Cycle now);
+    Cycle
+    earliestIssue(const BankId &id, Cycle now)
+    {
+        applyAutoRefresh(id, now);
+        Cycle t = banks_[id.flat(geometry_)].earliestActivate(now);
+        t = rankOf(id).earliestActivate(t);
+        // The data burst needs the channel bus tRCD+tCAS after the ACT.
+        const Cycle burstStart = t + timing_.tRCD + timing_.tCAS;
+        if (busFreeAt_[id.channel] > burstStart)
+            t += busFreeAt_[id.channel] - burstStart;
+        return t;
+    }
 
     /**
      * Issue an access; @p issue must be >= earliestIssue(..).
      * @return Data-ready cycle for reads / acceptance cycle for writes.
      */
-    Cycle access(const BankId &id, RowAddr row, bool is_write,
-                 Cycle issue);
+    Cycle
+    access(const BankId &id, RowAddr row, bool is_write, Cycle issue)
+    {
+        Bank &bank = banks_[id.flat(geometry_)];
+        const Cycle ready = bank.access(issue, row, is_write);
+        rankOf(id).recordActivate(issue);
+        const Cycle burstStart = issue + timing_.tRCD + timing_.tCAS;
+        busFreeAt_[id.channel] = burstStart + timing_.tBURST;
+        return ready;
+    }
 
     /**
      * Block the bank while victim rows are refreshed; returns the cycle
@@ -61,8 +80,27 @@ class DramSystem
     Count totalVictimRowsRefreshed() const;
 
   private:
-    Rank &rankOf(const BankId &id);
-    void applyAutoRefresh(const BankId &id, Cycle now);
+    Rank &
+    rankOf(const BankId &id)
+    {
+        return ranks_[id.channel * geometry_.ranksPerChannel + id.rank];
+    }
+
+    void
+    applyAutoRefresh(const BankId &id, Cycle now)
+    {
+        Rank &rank = rankOf(id);
+        // Catch up on any auto-refresh windows that opened before `now`.
+        while (true) {
+            const Cycle end = rank.autoRefreshDue(now);
+            if (end == 0)
+                break;
+            for (std::uint32_t b = 0; b < geometry_.banksPerRank; ++b) {
+                BankId bid{id.channel, id.rank, b};
+                banks_[bid.flat(geometry_)].blockUntil(end);
+            }
+        }
+    }
 
     DramGeometry geometry_;
     DramTiming timing_;

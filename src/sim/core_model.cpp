@@ -2,9 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+
+#include "common/logging.hpp"
 
 namespace catsim
 {
+
+namespace
+{
+
+/** Drop the earliest completion from a std::greater min-heap. */
+void
+popEarliest(std::vector<Cycle> &heap)
+{
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Cycle>());
+    heap.pop_back();
+}
+
+} // namespace
 
 CoreModel::CoreModel(CoreId id, const CoreParams &params,
                      std::unique_ptr<TraceStream> stream,
@@ -14,6 +30,9 @@ CoreModel::CoreModel(CoreId id, const CoreParams &params,
       stream_(std::move(stream)),
       controller_(controller)
 {
+    if (params_.mlp == 0)
+        CATSIM_FATAL("core ", id_, ": mlp must be at least 1");
+    inflightReads_.reserve(params_.mlp);
 }
 
 bool
@@ -32,10 +51,8 @@ CoreModel::step()
 
     // Retire completed reads.
     const auto now = static_cast<Cycle>(time_);
-    inflightReads_.erase(
-        std::remove_if(inflightReads_.begin(), inflightReads_.end(),
-                       [now](Cycle c) { return c <= now; }),
-        inflightReads_.end());
+    while (!inflightReads_.empty() && inflightReads_.front() <= now)
+        popEarliest(inflightReads_);
 
     MemRequest req;
     req.addr = rec.addr;
@@ -50,21 +67,19 @@ CoreModel::step()
         return true;
     }
 
-    // Reads: stall on the oldest outstanding read once the MLP window
-    // is full (ROB head blocks retirement).
+    // Reads: stall on the earliest-completing outstanding read once
+    // the MLP window is full.
     if (inflightReads_.size() >= params_.mlp) {
-        const auto oldest =
-            *std::min_element(inflightReads_.begin(),
-                              inflightReads_.end());
-        if (static_cast<double>(oldest) > time_)
-            time_ = static_cast<double>(oldest);
-        inflightReads_.erase(std::find(inflightReads_.begin(),
-                                       inflightReads_.end(), oldest));
+        const Cycle earliest = inflightReads_.front();
+        if (static_cast<double>(earliest) > time_)
+            time_ = static_cast<double>(earliest);
+        popEarliest(inflightReads_);
         req.arrival = static_cast<Cycle>(std::ceil(time_));
     }
 
-    const Cycle done = controller_.submitRead(req);
-    inflightReads_.push_back(done);
+    inflightReads_.push_back(controller_.submitRead(req));
+    std::push_heap(inflightReads_.begin(), inflightReads_.end(),
+                   std::greater<Cycle>());
     return true;
 }
 

@@ -8,9 +8,10 @@
  * instructions retire at the retire width; reads are issued to the
  * memory controller and the core may run ahead until its memory-level
  * parallelism window (derived from the ROB size divided by the typical
- * instruction gap) is full, at which point it stalls on the oldest
- * outstanding read.  Writes are posted and complete immediately unless
- * the controller exerts write-queue backpressure.
+ * instruction gap) is full, at which point it stalls on the
+ * outstanding read that completes earliest.  Writes are posted and
+ * complete immediately unless the controller exerts write-queue
+ * backpressure.
  */
 
 #ifndef CATSIM_SIM_CORE_MODEL_HPP
@@ -75,6 +76,7 @@ class CoreModel
     MemoryController &controller_;
     double time_ = 0.0;
     bool done_ = false;
+    /** Completion cycles of outstanding reads: a min-heap, <= mlp. */
     std::vector<Cycle> inflightReads_;
     Count instructions_ = 0;
     Count memOps_ = 0;

@@ -10,19 +10,19 @@ EventEngine::addActor(SimActor *actor, ActorRole role)
 {
     const auto id = static_cast<ActorId>(actors_.size());
     actors_.push_back(actor);
+    next_.push_back(kIdle);
     if (role == ActorRole::Source)
         ++liveSources_;
     return id;
 }
 
 void
-EventEngine::schedule(ActorId id, SimTime at)
+EventEngine::scheduleFailed(ActorId id, SimTime at) const
 {
-    Event e;
-    e.time = at;
-    e.actor = id;
-    e.seq = nextSeq_++;
-    queue_.push(e);
+    if (next_[id] != kIdle)
+        CATSIM_FATAL("schedule(): actor ", id,
+                     " already has an event pending at t=", next_[id]);
+    CATSIM_FATAL("schedule(): actor ", id, " armed at t=", at);
 }
 
 void
@@ -37,10 +37,21 @@ EventEngine::retire(ActorId id)
 void
 EventEngine::run()
 {
-    while (liveSources_ > 0 && !queue_.empty()) {
-        const Event e = queue_.top();
-        queue_.pop();
-        actors_[e.actor]->onEvent(e.time);
+    while (liveSources_ > 0) {
+        // Strict `<` from actor 0: the lowest id wins a same-time tie.
+        ActorId winner = 0;
+        SimTime best = kIdle;
+        const std::size_t n = next_.size();
+        for (std::size_t a = 0; a < n; ++a) {
+            if (next_[a] < best) {
+                best = next_[a];
+                winner = static_cast<ActorId>(a);
+            }
+        }
+        if (best == kIdle)
+            return; // nothing pending
+        next_[winner] = kIdle;
+        actors_[winner]->onEvent(best);
     }
 }
 

@@ -2,15 +2,21 @@
  * @file
  * Unified discrete-event engine shared by every simulation front end.
  *
- * The engine owns one priority queue of events ordered by
- * (time, actor-id, insertion-seq); actors - cores, the refresh/epoch
- * timer, the memory controller's stimulus sources, replay banks - are
- * first-class participants that schedule themselves and consume their
- * own events.  The tie-break order is part of the contract:
+ * Actors - cores, the refresh/epoch timer, the memory controller's
+ * stimulus sources, replay banks - are first-class participants that
+ * schedule themselves and consume their own events.  Each actor has
+ * at most one pending event, so the engine keeps one slot per actor
+ * holding that event's time (+inf when nothing is pending) and
+ * dispatches the earliest slot.  The order is part of the contract:
  *
  *   1. earlier time first;
  *   2. at equal time, the actor registered first (lower actor id);
- *   3. for the same actor at the same time, FIFO insertion order.
+ *   3. for the same actor at the same time, FIFO order.
+ *
+ * Rule 2 falls out of the dispatch scan: it walks the slots from actor 0
+ * and only a strictly earlier time replaces the current winner.  Rule
+ * 3 holds because an actor has at most one pending event; a second
+ * schedule() while one is pending is fatal, never a silent overwrite.
  *
  * Rule 2 is what lets the open-loop timing front end reproduce the
  * historical scan loop bit for bit: the epoch timer registers before
@@ -18,8 +24,8 @@
  * has reached it (the old `earliest->time() >= nextEpoch` test), and
  * ties between cores resolve to the lowest core id exactly as the old
  * linear scan did.  Rule 3 is what lets the sequential replay front
- * end run one bank to completion before the next (all of bank b's
- * events sit at time b and drain in insertion order).
+ * end run one bank to completion before the next (each of bank b's
+ * events re-arms at time b and fires before any later bank's).
  *
  * Two actor roles exist: Source actors (cores, stimulus sources) keep
  * the engine alive and must retire() when done; Timer actors (the
@@ -34,7 +40,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -65,7 +71,7 @@ class SimActor
     virtual void onEvent(SimTime now) = 0;
 };
 
-/** Deterministic discrete-event queue over registered actors. */
+/** Deterministic discrete-event loop over registered actors. */
 class EventEngine
 {
   public:
@@ -84,17 +90,25 @@ class EventEngine
 
     /**
      * Arm @p id to fire at @p at.  An actor may have at most one
-     * outstanding event; scheduling is only legal from outside run()
+     * pending event, and @p at must be a number below +inf (both
+     * fatal otherwise).  Scheduling is only legal from outside run()
      * (initial arming) or from within the actor's own onEvent.
      */
-    void schedule(ActorId id, SimTime at);
+    void
+    schedule(ActorId id, SimTime at)
+    {
+        if (next_[id] != kIdle || !(at < kIdle))
+            scheduleFailed(id, at);
+        next_[id] = at;
+    }
 
     /** A Source actor is done; never schedule it again. */
     void retire(ActorId id);
 
     /**
-     * Pop-and-dispatch until every Source actor has retired.  Pending
-     * Timer events past that point are dropped unfired.
+     * Dispatch the earliest pending event, clearing its slot first,
+     * until every Source actor has retired or nothing is pending.
+     * Pending Timer events past that point are dropped unfired.
      */
     void run();
 
@@ -102,30 +116,14 @@ class EventEngine
     Count liveSources() const { return liveSources_; }
 
   private:
-    struct Event
-    {
-        SimTime time = 0.0;
-        ActorId actor = 0;
-        std::uint64_t seq = 0;
-    };
+    /** Slot value of an actor with nothing pending. */
+    static constexpr SimTime kIdle =
+        std::numeric_limits<SimTime>::infinity();
 
-    /** Min-heap order: the documented (time, actor, seq) tie-break. */
-    struct EventAfter
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.time != b.time)
-                return a.time > b.time;
-            if (a.actor != b.actor)
-                return a.actor > b.actor;
-            return a.seq > b.seq;
-        }
-    };
+    [[noreturn]] void scheduleFailed(ActorId id, SimTime at) const;
 
     std::vector<SimActor *> actors_;
-    std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
-    std::uint64_t nextSeq_ = 0;
+    std::vector<SimTime> next_; //!< per actor: pending event time
     Count liveSources_ = 0;
 };
 

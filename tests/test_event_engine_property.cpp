@@ -3,9 +3,9 @@
  * Property and determinism tests for the event engine.
  *
  * Three layers:
- *  - direct queue-order tests of the documented (time, actor-id, seq)
+ *  - direct order tests of the documented (time, actor-id, FIFO)
  *    tie-break contract, with scripted actors that log their firing
- *    order;
+ *    order, and death tests of the one-pending-event rule;
  *  - seeded random system grids (core counts, workload gap profiles,
  *    scheme kinds, epoch scales, recording on/off) asserting the
  *    engine front end equals the frozen reference loop and repeats
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <utility>
 
@@ -264,6 +265,34 @@ TEST(EventEngineOrder, EpochTimerBeatsSameTimeSource)
     // The boundary fired before the source event at the same time -
     // the engine form of the old `earliest->time() >= nextEpoch`.
     EXPECT_EQ(timer.epochs(), 1u);
+}
+
+TEST(EventEngineContract, ScheduleViolationsAreFatal)
+{
+    // One pending event per actor is what lets the engine keep a single
+    // time slot per actor; a second schedule() must not overwrite it.
+    auto doubleArm = []() {
+        EventEngine engine;
+        std::vector<std::pair<ActorId, SimTime>> log;
+        ScriptedActor a(engine, log);
+        engine.schedule(a.id(), 5.0);
+        engine.schedule(a.id(), 3.0);
+    };
+    EXPECT_EXIT(doubleArm(), ::testing::ExitedWithCode(1),
+                "already has an event pending");
+
+    // A time the slot cannot hold (+inf marks an idle slot, NaN never
+    // compares earlier) is rejected the same way.
+    auto armAt = [](SimTime at) {
+        EventEngine engine;
+        std::vector<std::pair<ActorId, SimTime>> log;
+        ScriptedActor a(engine, log);
+        engine.schedule(a.id(), at);
+    };
+    EXPECT_EXIT(armAt(std::numeric_limits<SimTime>::infinity()),
+                ::testing::ExitedWithCode(1), "armed at t=");
+    EXPECT_EXIT(armAt(std::numeric_limits<SimTime>::quiet_NaN()),
+                ::testing::ExitedWithCode(1), "armed at t=");
 }
 
 /** Fast seeded grid: a handful of random systems every ctest run. */
