@@ -14,6 +14,13 @@
  *   fleet_worker_tier      2 = host has >= 4 cores, 1 = 2-3, 0 = 1
  *                          (check_perf.py keys its speedup floors by
  *                          tier; a 1-core CI box cannot show a 4x)
+ *   fleet_host_parallelism_sK
+ *                          speedup the host gives K copies of a fixed
+ *                          spin loop on K threads through parallelFor
+ *                          (K = 2, 4, 8): what perfectly parallel,
+ *                          memory-free work gets here, printed by
+ *                          check_perf.py next to a failing
+ *                          fleet_speedup_sK to tell host from code
  *   fleet_result_*         merged SchemeStats - bit-identical at every
  *                          shard count, so CI diffs these lines between
  *                          CATSIM_SHARDS=1 and =4 runs for free
@@ -25,6 +32,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -96,6 +104,44 @@ sameTotals(const ReplayResult &a, const ReplayResult &b)
            x.counterDramReads == y.counterDramReads &&
            x.counterDramWrites == y.counterDramWrites &&
            a.banks == b.banks && a.epochs == b.epochs;
+}
+
+/** Fixed integer work (an xorshift chain) that touches no memory. */
+std::uint64_t
+spin(std::uint64_t seed)
+{
+    std::uint64_t x = seed | 1;
+    for (std::uint32_t i = 0; i < 20000000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    return x;
+}
+
+/**
+ * Best-of-three wall time of @p copies spin() calls on @p copies
+ * parallelFor workers.
+ */
+double
+spinSeconds(std::size_t copies)
+{
+    using Clock = std::chrono::steady_clock;
+    std::atomic<std::uint64_t> sink{0};
+    double best = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto t0 = Clock::now();
+        parallelFor(
+            copies,
+            [&](std::size_t i) {
+                sink.fetch_xor(spin(i + 1), std::memory_order_relaxed);
+            },
+            copies);
+        best = std::min(
+            best,
+            std::chrono::duration<double>(Clock::now() - t0).count());
+    }
+    return best;
 }
 
 } // namespace
@@ -205,6 +251,16 @@ main()
             "fleet_efficiency" + suffix,
             rate / rate1 /
                 static_cast<double>(std::min<unsigned>(pt.shards, hw)));
+    }
+
+    // Host capacity, measured in the same process as the curve: K
+    // copies on K threads take as long as one copy on one thread when
+    // the host really has K free cores.
+    const double spin1 = spinSeconds(1);
+    for (const unsigned threads : {2u, 4u, 8u}) {
+        benchMetric("fleet_host_parallelism_s" + std::to_string(threads),
+                    static_cast<double>(threads) * spin1 /
+                        std::max(spinSeconds(threads), 1e-9));
     }
 
     // Shard-count-invariant result metrics: CI runs this bench at

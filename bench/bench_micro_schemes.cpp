@@ -27,6 +27,7 @@
 #include "core/cat_tree.hpp"
 #include "core/counter_cache.hpp"
 #include "core/drcat.hpp"
+#include "core/misra_gries.hpp"
 #include "core/pra.hpp"
 #include "core/prcat.hpp"
 #include "core/reference_cat_tree.hpp"
@@ -526,6 +527,54 @@ emitBundleSpeedupMetrics()
     std::fflush(stdout);
 }
 
+/**
+ * Double-sided hammer: two aggressors sandwiching one victim, with a
+ * uniform decoy every fourth ACT to churn the tracking table.
+ */
+const std::vector<RowAddr> &
+hammerStream()
+{
+    static const std::vector<RowAddr> stream = [] {
+        std::vector<RowAddr> s;
+        s.reserve(1 << 16);
+        Xoshiro256StarStar rng(7);
+        for (std::size_t i = 0; i < (1 << 16); ++i) {
+            if (i % 4 == 3)
+                s.push_back(static_cast<RowAddr>(rng.nextBounded(kRows)));
+            else
+                s.push_back(i % 2 == 0 ? 30000 : 30002);
+        }
+        return s;
+    }();
+    return stream;
+}
+
+/**
+ * Misra-Gries throughput as @@METRIC lines (mg64_acts_per_sec,
+ * mg512_acts_per_sec), tracked in perf_history.jsonl by check_perf.py.
+ * Each pass is one epoch of the Zipf benign stream and one of the
+ * hammer stream, both through the onActivateBatch replay entry point.
+ */
+void
+emitMisraGriesMetrics()
+{
+    const auto &benign = rowStream();
+    const auto &hammer = hammerStream();
+    for (const std::uint32_t k : {64u, 512u}) {
+        MisraGries mg(kRows, k, 32768);
+        const double rate = actsPerSec(
+            [&] {
+                mg.onEpoch();
+                mg.onActivateBatch(benign.data(), benign.size());
+                mg.onEpoch();
+                mg.onActivateBatch(hammer.data(), hammer.size());
+            },
+            static_cast<Count>(benign.size() + hammer.size()));
+        std::printf("@@METRIC mg%u_acts_per_sec %.6g\n", k, rate);
+    }
+    std::fflush(stdout);
+}
+
 } // namespace
 } // namespace catsim
 
@@ -533,6 +582,7 @@ int
 main(int argc, char **argv)
 {
     catsim::emitBundleSpeedupMetrics();
+    catsim::emitMisraGriesMetrics();
 
     // CATSIM_MICRO_FILTER narrows the google-benchmark suite when the
     // caller (run_benches.sh, CI) cannot pass --benchmark_filter.

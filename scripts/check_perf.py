@@ -18,6 +18,10 @@ Three kinds of guard, in increasing statefulness:
   and each ratio must clear the floor committed for that tier.
   A 1-core CI box cannot show a 4x shard speedup, so tier 0's fleet
   floors only catch pathological slowdowns.
+  A ratio may name a ``diagnostics`` metric (the fleet speedups name
+  ``fleet_host_parallelism_sK``, the speedup the host gives a fixed
+  spin loop on K threads); a failing ratio prints it alongside, so a
+  host without K free cores is told apart from a code regression.
 * **Absolute throughput floors** (activations/second) vary with
   hardware, so they only get loose sanity floors
   (``reference * min_frac``) catching order-of-magnitude regressions.
@@ -81,6 +85,7 @@ def load_history(path: Path):
 
 
 def check_ratio_floors(spec, metrics, tier, failures):
+    diagnostics = spec.get("diagnostics", {})
     for name, floors in spec.get("ratio_floors", {}).items():
         if name not in metrics:
             continue
@@ -89,9 +94,13 @@ def check_ratio_floors(spec, metrics, tier, failures):
             continue
         value = float(metrics[name])
         if value < floor:
+            note = ""
+            diag = diagnostics.get(name)
+            if diag in metrics:
+                note = f"; {diag} = {float(metrics[diag]):.3f}"
             failures.append(
                 f"{name} = {value:.3f} below floor {floor:.3f} "
-                f"(tier {tier})"
+                f"(tier {tier}{note})"
             )
         else:
             print(f"  ok: {name} = {value:.3f} >= {floor:.3f} (tier {tier})")

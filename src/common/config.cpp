@@ -1,6 +1,7 @@
 #include "config.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 
@@ -124,6 +125,16 @@ Config::getUint(const std::string &key, std::uint64_t def) const
     if (v < 0)
         CATSIM_FATAL("config key '", key, "' must be non-negative");
     return static_cast<std::uint64_t>(v);
+}
+
+std::uint32_t
+Config::getU32(const std::string &key, std::uint32_t def) const
+{
+    const std::uint64_t v = getUint(key, def);
+    if (v > UINT32_MAX)
+        CATSIM_FATAL("config key '", key, "' value ", v,
+                     " exceeds the 32-bit maximum ", UINT32_MAX);
+    return static_cast<std::uint32_t>(v);
 }
 
 double

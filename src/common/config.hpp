@@ -42,6 +42,8 @@ class Config
                           const std::string &def) const;
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
+    /** getUint for 32-bit fields: values above UINT32_MAX are fatal. */
+    std::uint32_t getU32(const std::string &key, std::uint32_t def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 

@@ -87,25 +87,20 @@ SchemeConfig::parse(const Config &cfg)
 {
     SchemeConfig s;
     s.kind = parseSchemeKind(cfg.getString("scheme", "drcat"));
-    s.numCounters =
-        static_cast<std::uint32_t>(cfg.getUint("counters", 64));
-    s.maxLevels = static_cast<std::uint32_t>(cfg.getUint("levels", 11));
-    s.threshold =
-        static_cast<std::uint32_t>(cfg.getUint("threshold", 32768));
+    s.numCounters = cfg.getU32("counters", 64);
+    s.maxLevels = cfg.getU32("levels", 11);
+    s.threshold = cfg.getU32("threshold", 32768);
     s.praProbability = cfg.getDouble("p", 0.002);
-    s.cacheWays = static_cast<std::uint32_t>(cfg.getUint("ways", 8));
-    s.rfmBudget =
-        static_cast<std::uint32_t>(cfg.getUint("rfmbudget", 64));
+    s.cacheWays = cfg.getU32("ways", 8);
+    s.rfmBudget = cfg.getU32("rfmbudget", 64);
     s.seed = cfg.getUint("schemeseed", 1);
     s.lfsrPrng = cfg.getBool("lfsr", false);
     // `eviction=` and `bankspool=` are the historical simulate CLI
     // spellings, kept as aliases of the canonical keys.
     s.evictionPolicy = parseEvictionPolicy(
         cfg.getString("policy", cfg.getString("eviction", "legacy")));
-    s.banksPerPool = static_cast<std::uint32_t>(
-        cfg.getUint("pool", cfg.getUint("bankspool", 0)));
-    s.bundleWidth =
-        static_cast<std::uint32_t>(cfg.getUint("bundle", 0));
+    s.banksPerPool = cfg.getU32("pool", cfg.getU32("bankspool", 0));
+    s.bundleWidth = cfg.getU32("bundle", 0);
     return s;
 }
 

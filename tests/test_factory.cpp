@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/config.hpp"
 #include "core/factory.hpp"
 #include "core/prcat.hpp"
 
@@ -28,6 +31,43 @@ TEST(FactoryDeath, UnknownName)
     EXPECT_EXIT(parseSchemeKind("rowpress"),
                 ::testing::ExitedWithCode(1), "unknown scheme");
 }
+
+/** SchemeConfig keys that land in 32-bit fields. */
+class SchemeConfigU32Key : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(SchemeConfigU32Key, ParsesTheMaximum)
+{
+    Config cfg;
+    cfg.set(GetParam(), "4294967295");
+    // Every key must reach its field: the key's value differs from
+    // the all-defaults config.
+    EXPECT_NE(SchemeConfig::parse(cfg).format(),
+              SchemeConfig::parse(Config{}).format());
+}
+
+TEST_P(SchemeConfigU32Key, RejectsValuesAboveTheMaximum)
+{
+    // 2^32 + 1 used to wrap to 1 (and 2^32 to 0) silently.
+    for (const char *value : {"4294967296", "4294967297"}) {
+        Config cfg;
+        cfg.set(GetParam(), value);
+        EXPECT_EXIT(SchemeConfig::parse(cfg),
+                    ::testing::ExitedWithCode(1),
+                    std::string("config key '") + GetParam() +
+                        "' value " + value + " exceeds");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(FactoryDeath, SchemeConfigU32Key,
+                         ::testing::Values("counters", "levels",
+                                           "threshold", "ways",
+                                           "rfmbudget", "pool",
+                                           "bankspool", "bundle"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 TEST(Factory, BuildsEveryKind)
 {

@@ -4,16 +4,20 @@
  * classic count-underestimate bound against an exact-count oracle, the
  * no-false-negative-above-threshold guarantee on seeded-random and
  * adversarial streams (sized and undersized tables), behavior across
- * epoch resets, and onActivate/onActivateBatch stats identity.
+ * epoch resets, onActivate/onActivateBatch stats identity, and a
+ * per-ACT differential test of the indexed table against the frozen
+ * linear-scan implementation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/misra_gries.hpp"
+#include "core/pra.hpp"
 
 namespace catsim
 {
@@ -46,6 +50,230 @@ assertNoFalseNegative(MisraGries &mg, const std::vector<RowAddr> &acts,
         if (act.triggered())
             since[row] = 0;
     }
+}
+
+/**
+ * MisraGries as a linear CAM scan over array-of-structs entries: every
+ * ACT walks the table for the row while noting the lowest count-0
+ * entry, and a full-table miss walks it again to decrement.  Frozen as
+ * the oracle for the production row index + free bitmap.
+ */
+class LinearScanMisraGries : public MitigationScheme
+{
+  public:
+    LinearScanMisraGries(RowAddr num_rows, std::uint32_t num_entries,
+                         std::uint32_t threshold)
+        : MitigationScheme(num_rows), threshold_(threshold),
+          entries_(num_entries)
+    {
+    }
+
+    RefreshAction
+    onActivate(RowAddr row) override
+    {
+        ++stats_.activations;
+        stats_.sramAccesses += 2;
+
+        Entry *slot = nullptr;
+        for (auto &e : entries_) {
+            if (e.live && e.row == row) {
+                staleHits_ += e.count == 0;
+                ++e.count;
+                if (e.count + (dec_ - e.decBase) >= threshold_) {
+                    e.count = 0;
+                    e.decBase = dec_;
+                    return refreshAround(row);
+                }
+                return {};
+            }
+            if (e.count == 0 && !slot)
+                slot = &e;
+        }
+
+        if (slot) {
+            slot->row = row;
+            slot->count = 1;
+            slot->decBase = 0;
+            slot->live = true;
+            if (1 + dec_ >= threshold_) {
+                slot->count = 0;
+                slot->decBase = dec_;
+                return refreshAround(row);
+            }
+            return {};
+        }
+
+        ++dec_;
+        for (auto &e : entries_)
+            --e.count;
+        stats_.sramAccesses += entries_.size();
+        if (dec_ >= threshold_)
+            return refreshAround(row);
+        return {};
+    }
+
+    void
+    onEpoch() override
+    {
+        for (auto &e : entries_)
+            e = Entry{};
+        dec_ = 0;
+        ++stats_.epochResets;
+    }
+
+    std::string name() const override { return "MG_scan"; }
+
+    std::uint32_t
+    trackedCount(RowAddr row) const
+    {
+        for (const auto &e : entries_) {
+            if (e.live && e.row == row)
+                return e.count;
+        }
+        return 0;
+    }
+
+    std::uint64_t decrements() const { return dec_; }
+
+    /** Hits on a live entry whose count had dropped to 0. */
+    std::uint64_t staleHits() const { return staleHits_; }
+
+  private:
+    struct Entry
+    {
+        RowAddr row = 0;
+        std::uint32_t count = 0;
+        std::uint64_t decBase = 0;
+        bool live = false;
+    };
+
+    RefreshAction
+    refreshAround(RowAddr row)
+    {
+        const RefreshAction act = neighborRefresh(row, numRows_, nullptr);
+        ++stats_.refreshEvents;
+        stats_.victimRowsRefreshed += act.rowCount;
+        return act;
+    }
+
+    std::uint32_t threshold_;
+    std::uint64_t dec_ = 0;
+    std::uint64_t staleHits_ = 0;
+    std::vector<Entry> entries_;
+};
+
+/**
+ * Seeded stream over @p rows rows: a hot row (refreshed over and over,
+ * so its entry keeps dropping to count 0 while staying live), re-ACTs
+ * of recently seen rows (which spills may have decremented to 0), and
+ * uniform draws.
+ */
+std::vector<RowAddr>
+mixedStream(std::uint64_t seed, std::size_t n, RowAddr rows)
+{
+    Xoshiro256StarStar rng(seed);
+    std::vector<RowAddr> acts;
+    std::vector<RowAddr> recent(64, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double u = rng.nextDouble();
+        RowAddr row;
+        if (u < 0.2)
+            row = rows / 2;
+        else if (u < 0.5)
+            row = recent[rng.nextBounded(recent.size())];
+        else
+            row = static_cast<RowAddr>(rng.nextBounded(rows));
+        recent[i % recent.size()] = row;
+        acts.push_back(row);
+    }
+    return acts;
+}
+
+/**
+ * Seeded uniform stream over a working set of @p ws rows: with ws
+ * above k the table spills constantly, and misses keep evicting stale
+ * entries whose rows come back soon after.
+ */
+std::vector<RowAddr>
+workingSetStream(std::uint64_t seed, std::size_t n, RowAddr ws)
+{
+    Xoshiro256StarStar rng(seed);
+    std::vector<RowAddr> acts;
+    for (std::size_t i = 0; i < n; ++i)
+        acts.push_back(static_cast<RowAddr>(rng.nextBounded(ws)));
+    return acts;
+}
+
+/**
+ * Seeded stream over the rows whose row-index home slots fall in the
+ * last and first sixteenth of @p mg's index: rows share home slots,
+ * live entries pile into long probe runs, and the runs wrap around the
+ * end of the index.
+ */
+std::vector<RowAddr>
+collidingStream(const MisraGries &mg, std::uint64_t seed, std::size_t n,
+                RowAddr rows)
+{
+    std::uint32_t slots = 0;
+    for (RowAddr r = 0; r < rows; ++r)
+        slots = std::max(slots, mg.indexHome(r) + 1);
+    const std::uint32_t edge = std::max(2u, slots / 16);
+    std::vector<RowAddr> pool;
+    for (RowAddr r = 0; r < rows; ++r) {
+        const std::uint32_t h = mg.indexHome(r);
+        if (h + edge >= slots || h < edge)
+            pool.push_back(r);
+    }
+    Xoshiro256StarStar rng(seed);
+    std::vector<RowAddr> acts;
+    for (std::size_t i = 0; i < n; ++i)
+        acts.push_back(pool[rng.nextBounded(pool.size())]);
+    return acts;
+}
+
+void
+expectSameStats(const SchemeStats &a, const SchemeStats &b)
+{
+    EXPECT_EQ(a.activations, b.activations);
+    EXPECT_EQ(a.refreshEvents, b.refreshEvents);
+    EXPECT_EQ(a.victimRowsRefreshed, b.victimRowsRefreshed);
+    EXPECT_EQ(a.sramAccesses, b.sramAccesses);
+    EXPECT_EQ(a.prngBits, b.prngBits);
+    EXPECT_EQ(a.splits, b.splits);
+    EXPECT_EQ(a.merges, b.merges);
+    EXPECT_EQ(a.epochResets, b.epochResets);
+    EXPECT_EQ(a.counterDramReads, b.counterDramReads);
+    EXPECT_EQ(a.counterDramWrites, b.counterDramWrites);
+}
+
+/**
+ * Run @p acts through both tables, an epoch every @p epoch ACTs, and
+ * require identical behavior after every ACT.
+ */
+void
+expectMatchesScan(MisraGries &mg, LinearScanMisraGries &scan,
+                  const std::vector<RowAddr> &acts, std::size_t epoch)
+{
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+        if (i > 0 && i % epoch == 0) {
+            mg.onEpoch();
+            scan.onEpoch();
+        }
+        const RowAddr row = acts[i];
+        const RefreshAction a = mg.onActivate(row);
+        const RefreshAction b = scan.onActivate(row);
+        ASSERT_EQ(a.rowCount, b.rowCount) << "ACT " << i;
+        ASSERT_EQ(a.lo, b.lo) << "ACT " << i;
+        ASSERT_EQ(a.hi, b.hi) << "ACT " << i;
+        ASSERT_EQ(mg.trackedCount(row), scan.trackedCount(row))
+            << "ACT " << i << " row " << row;
+        ASSERT_EQ(mg.decrements(), scan.decrements()) << "ACT " << i;
+        ASSERT_EQ(mg.stats().sramAccesses, scan.stats().sramAccesses)
+            << "ACT " << i;
+        ASSERT_EQ(mg.stats().refreshEvents, scan.stats().refreshEvents)
+            << "ACT " << i;
+    }
+    expectSameStats(mg.stats(), scan.stats());
 }
 
 } // namespace
@@ -221,6 +449,67 @@ TEST(MisraGries, BatchMatchesPerActivationStats)
     for (RowAddr row = 0; row < 256; ++row)
         ASSERT_EQ(single.trackedCount(row), batched.trackedCount(row))
             << "row " << row;
+}
+
+TEST(MisraGriesDiff, IndexedMatchesFrozenLinearScan)
+{
+    constexpr std::size_t kActs = 24000;
+    constexpr std::size_t kEpoch = 7001;  // epochs land mid-stream
+    for (const std::uint32_t k : {1u, 2u, 63u, 64u, 65u, 512u}) {
+        // Graphene sizing (k + 1 > acts per epoch / T) keeps the spill
+        // counter below T; the undersized thresholds let it pass T so
+        // the conservative refresh-per-miss path fires.  Past T - 1
+        // every fill refreshes and leaves its entry free with a
+        // nonzero spill baseline, so which free entry a miss reuses
+        // decides later refreshes.
+        const std::uint32_t sized =
+            static_cast<std::uint32_t>(kEpoch / (k + 1) + 2);
+        const std::uint32_t undersized = std::max(2u, sized / 8);
+        std::uint64_t staleHits = 0;
+        std::uint64_t maxSpills = 0;
+        std::uint64_t maxCollidingSpills = 0;
+        for (const std::uint32_t threshold : {sized, undersized, 2u}) {
+            const auto check = [&](RowAddr rows, const char *stream,
+                                   auto &&make) {
+                SCOPED_TRACE(testing::Message()
+                             << "k " << k << " T " << threshold
+                             << " rows " << rows << " " << stream);
+                MisraGries mg(rows, k, threshold);
+                LinearScanMisraGries scan(rows, k, threshold);
+                expectMatchesScan(mg, scan, make(mg), kEpoch);
+                staleHits += scan.staleHits();
+                return scan.decrements();
+            };
+            // Bank sizes above and below k: the index is sized by
+            // min(k, rows), so a tiny bank packs it full.
+            for (const RowAddr rows : {RowAddr(4 * k + 8), RowAddr(8192),
+                                       RowAddr(std::max(2u, k / 2))}) {
+                const std::uint64_t seed = k * 31 + threshold + rows;
+                maxSpills = std::max(
+                    maxSpills,
+                    check(rows, "mixed", [&](const MisraGries &) {
+                        return mixedStream(seed, kActs, rows);
+                    }));
+                maxCollidingSpills = std::max(
+                    maxCollidingSpills,
+                    check(rows, "colliding", [&](const MisraGries &mg) {
+                        return collidingStream(mg, seed, kActs, rows);
+                    }));
+            }
+            const RowAddr ws = k + k / 2 + 2;
+            check(8192, "working set", [&](const MisraGries &) {
+                return workingSetStream(k + threshold, kActs, ws);
+            });
+        }
+        // The streams must reach the cases the index could get wrong:
+        // stale live entries, the refresh-per-miss path (spills past
+        // the undersized T), and a full colliding index.
+        EXPECT_GT(staleHits, 0u)
+            << "k " << k << ": no hit on a live count-0 entry";
+        EXPECT_GE(maxSpills, undersized) << "k " << k;
+        EXPECT_GT(maxCollidingSpills, 0u)
+            << "k " << k << ": colliding rows never filled the table";
+    }
 }
 
 TEST(MisraGries, AdjacencyModelSelectsPhysicalVictims)
